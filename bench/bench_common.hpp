@@ -109,8 +109,9 @@ inline std::map<std::string, workloads::RunResult> run_grid(
 }
 
 /// Adds the host wall-clock timings of one config's run to a counter row
-/// (`compile_ms.<config>` / `sim_ms.<config>`), so BENCH_*.json tracks the
-/// compile+simulate speedup trajectory alongside the simulated metrics.
+/// (`compile_ms.<config>` / `sim_ms.<config>`), so the `--json` rows (archived
+/// as CI artifacts) carry the compile+simulate timings alongside the
+/// simulated metrics.
 inline void add_timings(std::map<std::string, double>& counters, const std::string& config,
                         const workloads::RunResult& r) {
   counters["compile_ms." + config] = r.compile_ms;
@@ -141,8 +142,9 @@ inline void add_register_counters(std::map<std::string, double>& counters,
 }
 
 /// Accumulates every counter set registered by this binary so `--json FILE`
-/// can dump the whole table/figure as one machine-readable document — the
-/// substrate the perf-trajectory files (BENCH_*.json) are built from.
+/// can dump the whole table/figure as one machine-readable document. CI
+/// archives these documents as build artifacts; no trajectory file is
+/// committed.
 class JsonSink {
  public:
   static JsonSink& instance() {

@@ -1,5 +1,6 @@
 #include "driver/compiler.hpp"
 
+#include <cstdio>
 #include <mutex>
 #include <unordered_map>
 
@@ -48,9 +49,8 @@ std::unordered_map<FeedbackKey, int, FeedbackKeyHash> g_feedback_cache;
 // *tried*, not what a given mutated AST compiles to. The VIR opt level is
 // included: the pipeline runs inside feedback compiles too, and a register
 // count measured at one level must never answer a query at another.
-std::uint64_t feedback_options_fingerprint(const codegen::CodegenOptions& cg,
-                                           const regalloc::AllocatorOptions& ra,
-                                           int opt_level) {
+std::uint64_t feedback_options_key(const codegen::CodegenOptions& cg,
+                                   const regalloc::AllocatorOptions& ra, int opt_level) {
   std::uint64_t bits = 0;
   bits |= cg.honor_dim ? 1u : 0u;
   bits |= cg.honor_small ? 2u : 0u;
@@ -67,64 +67,19 @@ std::uint64_t feedback_options_fingerprint(const codegen::CodegenOptions& cg,
 
 }  // namespace
 
-std::uint64_t options_fingerprint(const CompilerOptions& o) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(static_cast<std::uint64_t>(o.persona));
-  mix((o.enable_safara ? 1u : 0u) | (o.enable_carr_kennedy ? 2u : 0u) |
-      (o.honor_dim ? 4u : 0u) | (o.honor_small ? 8u : 0u) |
-      (o.enable_unroll ? 16u : 0u) | (o.verify_clauses ? 32u : 0u));
-  mix(static_cast<std::uint64_t>(o.opt_level));
-  mix(static_cast<std::uint64_t>(o.safara.max_registers));
-  mix(static_cast<std::uint64_t>(o.safara.max_iterations));
-  mix(o.safara.use_cost_model ? 1u : 0u);
-  mix(static_cast<std::uint64_t>(o.carr_kennedy.register_budget));
-  mix(static_cast<std::uint64_t>(o.carr_kennedy.max_distance));
-  mix(static_cast<std::uint64_t>(o.unroll.factor));
-  mix(static_cast<std::uint64_t>(o.unroll.max_body_statements));
-  mix(static_cast<std::uint64_t>(o.regalloc.max_registers));
-  mix(static_cast<std::uint64_t>(o.regalloc.strategy));
-  mix(static_cast<std::uint64_t>(o.regalloc.spill_mem));
-  const vgpu::DeviceSpec& d = o.device;
-  for (const std::int64_t v :
-       {static_cast<std::int64_t>(d.num_sms), static_cast<std::int64_t>(d.warp_size),
-        static_cast<std::int64_t>(d.max_threads_per_sm),
-        static_cast<std::int64_t>(d.max_warps_per_sm),
-        static_cast<std::int64_t>(d.max_blocks_per_sm),
-        static_cast<std::int64_t>(d.max_threads_per_block), d.registers_per_sm,
-        static_cast<std::int64_t>(d.max_registers_per_thread),
-        static_cast<std::int64_t>(d.reg_granularity),
-        static_cast<std::int64_t>(d.schedulers_per_sm), d.shared_mem_per_sm,
-        static_cast<std::int64_t>(d.shared_mem_banks),
-        static_cast<std::int64_t>(d.shared_bank_bytes),
-        static_cast<std::int64_t>(d.shared_alloc_granularity),
-        static_cast<std::int64_t>(d.ro_cache_bytes),
-        static_cast<std::int64_t>(d.ro_cache_line),
-        static_cast<std::int64_t>(d.ro_cache_ways),
-        static_cast<std::int64_t>(d.memory_segment)}) {
-    mix(static_cast<std::uint64_t>(v));
+int opt_level_from_env() {
+  const std::optional<long long> v = env_int("SAFARA_OPT_LEVEL");
+  if (!v) return 2;
+  if (*v < 0 || *v > 2) {
+    std::fprintf(stderr, "warning: ignoring SAFARA_OPT_LEVEL=%lld (expected 0, 1, or 2)\n",
+                 *v);
+    return 2;
   }
-  const vgpu::LatencyModel& l = d.lat;
-  for (const int v : {l.alu, l.imul64, l.int_div, l.sfu, l.global_base,
-                      l.global_per_extra_tx, l.ro_cache_hit, l.ro_cache_miss,
-                      l.local_mem, l.shared_mem, l.shared_conflict, l.atomic,
-                      l.store_issue, l.tx_cycles}) {
-    mix(static_cast<std::uint64_t>(v));
-  }
-  return h;
+  return static_cast<int>(*v);
 }
 
 int default_opt_level() {
-  static const int level = [] {
-    const std::optional<long long> v = env_int("SAFARA_OPT_LEVEL");
-    if (!v) return 2;
-    return static_cast<int>(std::clamp<long long>(*v, 0, 2));
-  }();
+  static const int level = opt_level_from_env();
   return level;
 }
 
@@ -274,7 +229,7 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
     sopts.max_registers = std::min(sopts.max_registers, opts_.device.max_registers_per_thread);
     const codegen::CodegenOptions cg = codegen_options();
     const std::uint64_t opts_fp =
-        feedback_options_fingerprint(cg, opts_.regalloc, opts_.opt_level);
+        feedback_options_key(cg, opts_.regalloc, opts_.opt_level);
     auto feedback = [&](ast::Function& f, int region_index) -> int {
       obs::ScopedSpan fb_span(tracer, "safara.feedback_compile", "safara");
       FeedbackKey key;
@@ -425,6 +380,7 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
       collector_->metrics.add("regalloc.iterations", ck.alloc.iterations);
       collector_->metrics.add("vir.copyprop_removed", ck.vir_stats.copyprop_removed);
       collector_->metrics.add("vir.gvn_hits", ck.vir_stats.gvn_hits);
+      collector_->metrics.add("vir.ssa_bailouts", ck.vir_stats.ssa_bailouts);
       collector_->metrics.add("vir.dce_removed", ck.vir_stats.dce_removed);
       collector_->metrics.add("vir.strength_reduced", ck.vir_stats.strength_reduced);
       collector_->metrics.add("vir.sched_moves", ck.vir_stats.sched_moves);

@@ -29,8 +29,13 @@ namespace safara::driver {
 
 enum class Persona : std::uint8_t { kOpenUH, kPgiLike };
 
-/// The VIR optimization level the process defaults to: SAFARA_OPT_LEVEL
-/// (clamped to 0..2) when set and parseable, otherwise 2.
+/// Reads SAFARA_OPT_LEVEL on every call: its value when it is 0, 1, or 2,
+/// otherwise 2. A malformed or out-of-range value warns on stderr and keeps
+/// the default, like SAFARA_SIM_THREADS and SAFARA_GRID_THREADS.
+int opt_level_from_env();
+
+/// The VIR optimization level the process defaults to: opt_level_from_env(),
+/// read once.
 int default_opt_level();
 
 struct CompilerOptions {
@@ -124,17 +129,6 @@ struct CompiledProgram {
   /// asked to verify clauses); kernels pair up by index.
   std::unique_ptr<CompiledProgram> fallback;
 };
-
-/// Stable 64-bit fingerprint of every CompilerOptions field that can change
-/// what compile() (or a simulation of its output) produces: persona, pass
-/// toggles, clause handling, opt level, SAFARA/unroll/Carr-Kennedy knobs,
-/// the regalloc configuration (strategy, max-regs cap, spill backing store),
-/// and the full device model including its latency table. The service disk
-/// cache (src/service) keys entries on this plus the canonical AST hash, so
-/// an entry compiled under one option tuple can never answer a request made
-/// under another. Deliberately excluded: safara_feedback_cache (memoization
-/// on/off produces identical results by contract, guarded by tests).
-std::uint64_t options_fingerprint(const CompilerOptions& opts);
 
 /// Canonical VIR dump of every kernel in the program: the `ptxas -v`
 /// feedback line followed by the disassembly, under `==== name ====`

@@ -410,7 +410,10 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
     const Kernel snapshot = k;
     const int pressure_in = max_live_pressure(k);
     const ssa::ConstructStats cs = ssa::construct(k);
-    if (first_round) s.phi_count = cs.phis;
+    if (first_round) {
+      s.phi_count = cs.phis;
+      s.ssa_bailouts = !cs.converted && !snapshot.code.empty() ? 1 : 0;
+    }
 
     PassStats it;
     it.copyprop_removed += run_copy_propagation(k);

@@ -32,6 +32,8 @@ struct PassStats {
   // fixpoint contract is defined over the five counters above, and an
   // iteration that only churns SSA form (zero counted work) is reverted.
   int phi_count = 0;            // phis placed by SSA construction (first round)
+  int ssa_bailouts = 0;         // 1 when first-round SSA construction left a
+                                // non-empty kernel in multi-def form
   int ssa_copies_folded = 0;    // movs folded into SSA renaming (kept rounds)
   int phi_copies_coalesced = 0; // phi-elimination copies coalesced (kept rounds)
 };

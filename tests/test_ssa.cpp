@@ -236,6 +236,10 @@ TEST(SsaConstruct, EntryBlockWithPredecessorsBails) {
   ssa::ConstructStats stats = ssa::construct(b.k);
   EXPECT_FALSE(stats.converted);
   EXPECT_EQ(to_string(b.k), to_string(snapshot));
+
+  // The pipeline counts the bailout instead of failing silently.
+  Kernel k = snapshot;
+  EXPECT_EQ(passes::run_pipeline(k, 2).ssa_bailouts, 1);
 }
 
 TEST(SsaConstruct, JoinWiderThanThreePredecessorsBails) {
@@ -263,6 +267,10 @@ TEST(SsaConstruct, JoinWiderThanThreePredecessorsBails) {
   ssa::ConstructStats stats = ssa::construct(b.k);
   EXPECT_FALSE(stats.converted);
   EXPECT_EQ(to_string(b.k), to_string(snapshot));
+
+  // The pipeline counts the bailout instead of failing silently.
+  Kernel k = snapshot;
+  EXPECT_EQ(passes::run_pipeline(k, 2).ssa_bailouts, 1);
 }
 
 // -- SSA destruction -----------------------------------------------------------
@@ -308,6 +316,7 @@ TEST(SsaPipeline, ReportsPhisButEmitsNone) {
   KB b = make_loop_kernel();
   passes::PassStats stats = passes::run_pipeline(b.k, 2);
   EXPECT_GE(stats.phi_count, 1) << "the loop kernel should have needed a phi";
+  EXPECT_EQ(stats.ssa_bailouts, 0);
   EXPECT_EQ(phi_count(b.k), 0) << "a phi escaped the pipeline";
 }
 
