@@ -72,7 +72,8 @@ std::uint64_t name_seed(const std::string& name) {
 
 void fill_array(driver::HostArray& arr, std::uint64_t seed) {
   std::uint64_t s = seed;
-  for (std::int64_t i = 0; i < arr.element_count(); ++i) {
+  const std::int64_t n = arr.element_count();
+  for (std::int64_t i = 0; i < n; ++i) {
     s ^= s << 13;
     s ^= s >> 7;
     s ^= s << 17;
@@ -205,7 +206,8 @@ bool results_equal(const ArgSet& a, const ArgSet& b, std::string* why) {
     std::ostringstream os;
     os << "array '" << name << "' differs";
     bool located = false;
-    for (std::int64_t i = 0; i < arr.element_count() && !located; ++i) {
+    const std::int64_t n = arr.element_count();
+    for (std::int64_t i = 0; i < n && !located; ++i) {
       located = ast::is_float(arr.elem)
                     ? arr.get(i) != other.get(i)
                     : arr.get_int(i) != other.get_int(i);

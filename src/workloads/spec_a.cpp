@@ -222,7 +222,8 @@ void md(int np, int nn, const float *pos, const int *nbr, float *frc) {
     fill(d.arrays.at("pos"), 350, -1.0, 1.0);
     driver::HostArray nbr = i32_1d(static_cast<std::int64_t>(np) * nn);
     std::uint64_t s = 7777;
-    for (std::int64_t t = 0; t < nbr.element_count(); ++t) {
+    const std::int64_t count = nbr.element_count();
+    for (std::int64_t t = 0; t < count; ++t) {
       s ^= s << 13;
       s ^= s >> 7;
       s ^= s << 17;

@@ -6,7 +6,8 @@ namespace safara::workloads {
 
 void fill(driver::HostArray& arr, std::uint64_t seed, double lo, double hi) {
   std::uint64_t s = seed * 2654435761ULL + 88172645463325252ULL;
-  for (std::int64_t i = 0; i < arr.element_count(); ++i) {
+  const std::int64_t n = arr.element_count();
+  for (std::int64_t i = 0; i < n; ++i) {
     s ^= s << 13;
     s ^= s >> 7;
     s ^= s << 17;
