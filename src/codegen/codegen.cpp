@@ -1,6 +1,5 @@
 #include "codegen/codegen.hpp"
 
-#include <cstring>
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
@@ -40,36 +39,6 @@ VType vtype_of(ScalarType t) {
   return VType::kI32;
 }
 
-struct VNKey {
-  Opcode op;
-  VType type;
-  std::uint32_t a, b, c;
-  std::uint32_t va, vb, vc;  // operand versions (0 for immutable)
-  std::int64_t imm;
-  std::uint64_t fimm_bits;
-  std::uint8_t flags;
-  std::uint64_t stmt_id;  // only nonzero for statement-scoped load CSE
-
-  bool operator==(const VNKey&) const = default;
-};
-
-struct VNKeyHash {
-  std::size_t operator()(const VNKey& k) const {
-    std::size_t h = std::hash<int>()(static_cast<int>(k.op));
-    auto mix = [&h](std::uint64_t v) {
-      h ^= std::hash<std::uint64_t>()(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    };
-    mix(static_cast<std::uint64_t>(k.type));
-    mix((std::uint64_t(k.a) << 32) | k.b);
-    mix((std::uint64_t(k.c) << 32) | k.flags);
-    mix((std::uint64_t(k.va) << 42) ^ (std::uint64_t(k.vb) << 21) ^ k.vc);
-    mix(static_cast<std::uint64_t>(k.imm));
-    mix(k.fimm_bits);
-    mix(k.stmt_id);
-    return h;
-  }
-};
-
 /// An instruction buffer with label placements relative to its own start.
 struct CodeBuf {
   std::vector<Instr> instrs;
@@ -87,13 +56,20 @@ struct CodeBuf {
   }
 };
 
+/// A global load the PGI-like persona may reuse later in the same statement.
+struct StmtLoad {
+  std::uint64_t stmt_id;
+  const ArrayRef* ref;
+  std::uint32_t dst;
+};
+
 struct Frame {
   enum class Kind { kEntry, kLoop, kScope };
   Kind kind = Kind::kEntry;
   int body_depth = 0;
   CodeBuf preheader;  // loops only
   CodeBuf buf;
-  std::unordered_map<VNKey, std::uint32_t, VNKeyHash> vn;
+  std::vector<StmtLoad> loads;  // cse_loads_within_stmt only
 };
 
 class KernelBuilder {
@@ -152,20 +128,7 @@ class KernelBuilder {
     kernel_.vreg_names.emplace_back();
     vreg_depth_.push_back(cur_depth());
     vreg_mutable_.push_back(mutable_slot);
-    vreg_version_.push_back(0);
-    vreg_version_depth_.push_back(cur_depth());
     return id;
-  }
-
-  int effective_depth(std::uint32_t r) const {
-    return vreg_mutable_[r] ? vreg_version_depth_[r] : vreg_depth_[r];
-  }
-  std::uint32_t version(std::uint32_t r) const {
-    return vreg_mutable_[r] ? vreg_version_[r] : 0;
-  }
-  void bump_version(std::uint32_t r) {
-    ++vreg_version_[r];
-    vreg_version_depth_[r] = cur_depth();
   }
 
   // -- frames / emission ------------------------------------------------------
@@ -184,39 +147,19 @@ class KernelBuilder {
     cur().instrs.push_back(in);
   }
 
-  /// Emits a pure operation with value numbering and (optionally) hoisting to
-  /// the outermost loop preheader its operands allow.
+  /// Emits a pure operation, hoisted (with LICM on) to the preheader of the
+  /// outermost loop whose body is deeper than every operand. Redundant
+  /// copies are left for VIR GVN to merge.
   std::uint32_t emit_pure(Opcode op, VType type, std::uint32_t a = vir::kNoReg,
                           std::uint32_t b = vir::kNoReg, std::uint32_t c = vir::kNoReg,
                           std::int64_t imm = 0, double fimm = 0.0,
                           std::uint8_t flags = 0) {
-    VNKey key;
-    key.op = op;
-    key.type = type;
-    key.a = a;
-    key.b = b;
-    key.c = c;
-    key.va = a != vir::kNoReg ? version(a) : 0;
-    key.vb = b != vir::kNoReg ? version(b) : 0;
-    key.vc = c != vir::kNoReg ? version(c) : 0;
-    key.imm = imm;
-    std::memcpy(&key.fimm_bits, &fimm, sizeof fimm);
-    key.flags = flags;
-    key.stmt_id = 0;
-
-    for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
-      auto found = it->vn.find(key);
-      if (found != it->vn.end()) return found->second;
-    }
-
     int d = 0;
     for (std::uint32_t r : {a, b, c}) {
-      if (r != vir::kNoReg) d = std::max(d, effective_depth(r));
+      if (r != vir::kNoReg) d = std::max(d, vreg_depth_[r]);
     }
     if (!opts_.licm) d = cur_depth();
 
-    // Placement: in place, or in the preheader of the outermost loop whose
-    // body is deeper than every operand.
     std::size_t target_frame = frames_.size() - 1;
     bool hoist = false;
     if (d < cur_depth()) {
@@ -243,13 +186,7 @@ class KernelBuilder {
     in.fimm = fimm;
     in.flags = flags;
     in.loc = cur_loc_;
-    if (hoist) {
-      frames_[target_frame].preheader.instrs.push_back(in);
-      frames_[target_frame - 1].vn.emplace(key, dst);
-    } else {
-      cur().instrs.push_back(in);
-      frame().vn.emplace(key, dst);
-    }
+    (hoist ? frames_[target_frame].preheader : cur()).instrs.push_back(in);
     return dst;
   }
 
@@ -348,7 +285,7 @@ class KernelBuilder {
     return sym.is_const || written_.count(&sym) == 0;
   }
 
-  // -- version bookkeeping (loop-entry "phi" bumps) -----------------------------
+  // -- definition depths (loop-entry "phi" marks) -------------------------------
 
   void collect_assigned_symbols(const Stmt& s, std::unordered_set<const Symbol*>& out) {
     switch (s.kind) {
@@ -379,13 +316,15 @@ class KernelBuilder {
     }
   }
 
-  void bump_loop_carried_versions(const ForStmt& loop) {
+  /// A variable assigned anywhere in the loop is redefined at the loop
+  /// head, so nothing reading it may hoist out of the loop.
+  void mark_loop_carried(const ForStmt& loop) {
     std::unordered_set<const Symbol*> assigned;
     assigned.insert(loop.iv_symbol);
     collect_assigned_symbols(*loop.body, assigned);
     for (const Symbol* sym : assigned) {
       auto it = var_reg_.find(sym);
-      if (it != var_reg_.end()) bump_version(it->second);
+      if (it != var_reg_.end()) vreg_depth_[it->second] = cur_depth();
     }
   }
 
@@ -404,21 +343,16 @@ class KernelBuilder {
     // Copy coalescing: `ld.global %t; mov %slot, %t` would make the mov stall
     // the in-order pipeline for the load's full latency, serializing what the
     // hardware would overlap — and a real register allocator coalesces the
-    // copy anyway. When statement-level load CSE is on (PGI persona), the
-    // load may be registered in the VN table; drop any entry naming the old
-    // destination so the retarget cannot resurface a stale register.
+    // copy anyway. The retargeted load no longer defines `value`, so the
+    // statement-level load CSE (PGI persona) must forget it.
+    vreg_depth_[slot] = cur_depth();
     CodeBuf& buf = cur();
     if (!buf.instrs.empty()) {
       Instr& last = buf.instrs.back();
       if (last.op == Opcode::kLdGlobal && last.dst == value &&
           !vreg_mutable_[value] && kernel_.vreg_types[slot] == kernel_.vreg_types[value]) {
-        if (opts_.cse_loads_within_stmt) {
-          for (auto it = frame().vn.begin(); it != frame().vn.end();) {
-            it = it->second == value ? frame().vn.erase(it) : std::next(it);
-          }
-        }
+        std::erase_if(frame().loads, [&](const StmtLoad& l) { return l.dst == value; });
         last.dst = slot;
-        bump_version(slot);
         return;
       }
     }
@@ -428,7 +362,6 @@ class KernelBuilder {
     in.dst = slot;
     in.a = value;
     emit(in);
-    bump_version(slot);
   }
 
   std::uint32_t gen_value(const Expr& e) {
@@ -631,41 +564,27 @@ class KernelBuilder {
   }
 
   std::uint32_t gen_load(const ArrayRef& ref) {
+    // PGI-like persona: a reference repeated within one statement (and one
+    // frame — a `for` evaluates its init and its bound in different ones)
+    // reuses the first load.
+    if (opts_.cse_loads_within_stmt) {
+      std::vector<StmtLoad>& loads = frame().loads;
+      std::erase_if(loads, [&](const StmtLoad& l) { return l.stmt_id != stmt_counter_; });
+      for (const StmtLoad& l : loads) {
+        if (ast::equal(*l.ref, ref)) return l.dst;
+      }
+    }
     std::uint32_t addr = gen_address(ref);
     VType t = vtype_of(ref.symbol->type);
-    std::uint8_t flags = read_only_in_region(*ref.symbol) ? Instr::kFlagReadOnly : 0;
-
-    if (opts_.cse_loads_within_stmt) {
-      VNKey key{};
-      key.op = Opcode::kLdGlobal;
-      key.type = t;
-      key.a = addr;
-      key.va = version(addr);
-      key.b = key.c = vir::kNoReg;
-      key.flags = flags;
-      key.stmt_id = stmt_counter_;
-      auto found = frame().vn.find(key);
-      if (found != frame().vn.end()) return found->second;
-      std::uint32_t dst = new_vreg(t);
-      Instr in;
-      in.op = Opcode::kLdGlobal;
-      in.type = t;
-      in.dst = dst;
-      in.a = addr;
-      in.flags = flags;
-      emit(in);
-      frame().vn.emplace(key, dst);
-      return dst;
-    }
-
     std::uint32_t dst = new_vreg(t);
     Instr in;
     in.op = Opcode::kLdGlobal;
     in.type = t;
     in.dst = dst;
     in.a = addr;
-    in.flags = flags;
+    in.flags = read_only_in_region(*ref.symbol) ? Instr::kFlagReadOnly : 0;
     emit(in);
+    if (opts_.cse_loads_within_stmt) frame().loads.push_back({stmt_counter_, &ref, dst});
     return dst;
   }
 
@@ -893,7 +812,7 @@ class KernelBuilder {
     if (f.loc.valid()) cur_loc_ = f.loc;
     const SourceLoc loop_loc = cur_loc_;
     push_loop();
-    bump_loop_carried_versions(f);
+    mark_loop_carried(f);
 
     std::int32_t l_head = alloc_label();
     std::int32_t l_exit = alloc_label();
@@ -1018,8 +937,6 @@ class KernelBuilder {
   std::vector<Frame> frames_;
   std::vector<int> vreg_depth_;
   std::vector<bool> vreg_mutable_;
-  std::vector<std::uint32_t> vreg_version_;
-  std::vector<int> vreg_version_depth_;
   std::unordered_map<const Symbol*, std::uint32_t> var_reg_;
   std::unordered_map<std::string, std::int64_t> param_index_;
   std::unordered_set<const Symbol*> written_;

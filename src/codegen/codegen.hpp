@@ -11,12 +11,13 @@
 //    one dope set or supplies explicit bounds;
 //  * the `small` clause (when honored) switches an array's offset arithmetic
 //    from i64 to i32, halving the register cost of every offset temporary;
-//  * a scoped value-numbering table with loop-invariant hoisting plays the
-//    role of the backend optimizer: identical pure computations (notably
-//    offset chains) are computed once, and invariant ones move to the
-//    innermost enclosing loop preheader. Global-memory loads are never
-//    value-numbered — eliminating redundant loads is scalar replacement's
-//    job (the paper's subject), not the backend's;
+//  * loop-invariant pure computations (notably offset chains) are hoisted to
+//    the preheader of the outermost loop their operands allow. Codegen does
+//    no value numbering: every expression is emitted as written, and VIR
+//    GVN (src/vir/passes) is the one pass that merges redundant copies.
+//    Global-memory loads are never merged by default — eliminating
+//    redundant loads is scalar replacement's job (the paper's subject), not
+//    the backend's;
 //  * `A[inv] += e` inside a parallel loop (subscripts invariant in every
 //    scheduled loop) lowers to a global atomic add, which is how this
 //    compiler implements OpenACC reductions.
@@ -39,8 +40,9 @@ struct CodegenOptions {
   bool honor_small = false;
   /// Hoist loop-invariant pure computations into loop preheaders.
   bool licm = true;
-  /// Value-number identical global loads within a single statement (the
-  /// "PGI-like persona" generic optimization; off for the OpenUH personas).
+  /// Reuse a global load when the same array reference repeats within one
+  /// statement (the "PGI-like persona" generic optimization; off for the
+  /// OpenUH personas).
   bool cse_loads_within_stmt = false;
 };
 

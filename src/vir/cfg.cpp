@@ -39,7 +39,72 @@ std::vector<BasicBlock> build_label_blocks(const Kernel& k) {
   return blocks;
 }
 
+/// Drops the instructions marked in `dead` and remaps the label table
+/// (labels store instruction indices; branch operands store label ids and
+/// need no fixing). A label on a removed instruction moves to the next
+/// survivor. Returns the number of instructions dropped.
+int compact(Kernel& k, const std::vector<char>& dead) {
+  const std::int32_t n = static_cast<std::int32_t>(k.code.size());
+  std::vector<std::int32_t> new_index(static_cast<std::size_t>(n) + 1, 0);
+  std::int32_t kept = 0;
+  for (std::int32_t i = 0; i < n; ++i) {
+    new_index[static_cast<std::size_t>(i)] = kept;
+    if (!dead[static_cast<std::size_t>(i)]) ++kept;
+  }
+  new_index[static_cast<std::size_t>(n)] = kept;
+  if (kept == n) return 0;
+
+  std::vector<Instr> code;
+  code.reserve(static_cast<std::size_t>(kept));
+  for (std::int32_t i = 0; i < n; ++i) {
+    if (!dead[static_cast<std::size_t>(i)]) code.push_back(k.code[static_cast<std::size_t>(i)]);
+  }
+  k.code = std::move(code);
+  for (std::int32_t& target : k.labels) {
+    if (target >= 0 && target <= n) target = new_index[static_cast<std::size_t>(target)];
+  }
+  return n - kept;
+}
+
 }  // namespace
+
+int remove_dead(Kernel& k, const std::vector<char>& dead) {
+  const int removed = static_cast<int>(std::count(dead.begin(), dead.end(), 1));
+  if (removed == 0) return 0;
+  // A block with no survivor would vanish and splice its label onto the next
+  // block, changing predecessor lists under any phi. Its last slot becomes a
+  // `bra` to the next block instead. A dead instruction is never a branch
+  // or exit, so the block fell through, and the next block therefore starts
+  // at a label.
+  std::vector<char> drop = dead;
+  for (const BasicBlock& bb : build_label_blocks(k)) {
+    const auto first = drop.begin() + bb.begin, last = drop.begin() + bb.end;
+    if (bb.end == static_cast<std::int32_t>(k.code.size()) ||
+        std::find(first, last, char{0}) != last) {
+      continue;
+    }
+    Instr& slot = k.code[static_cast<std::size_t>(bb.end) - 1];
+    Instr jump;
+    jump.op = Opcode::kBra;
+    jump.imm = std::find(k.labels.begin(), k.labels.end(), bb.end) - k.labels.begin();
+    jump.loc = slot.loc;
+    slot = jump;
+    drop[static_cast<std::size_t>(bb.end) - 1] = 0;
+  }
+  compact(k, drop);
+  return removed;
+}
+
+int remove_fallthrough_branches(Kernel& k) {
+  const std::int32_t n = static_cast<std::int32_t>(k.code.size());
+  std::vector<char> dead(static_cast<std::size_t>(n), 0);
+  for (std::int32_t i = 0; i < n; ++i) {
+    const Instr& in = k.code[static_cast<std::size_t>(i)];
+    dead[static_cast<std::size_t>(i)] =
+        in.op == Opcode::kBra && k.target(static_cast<std::int32_t>(in.imm)) == i + 1;
+  }
+  return compact(k, dead);
+}
 
 Cfg build_dominator_cfg(const Kernel& k) {
   Cfg cfg;

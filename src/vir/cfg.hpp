@@ -54,6 +54,18 @@ struct BlockLiveness {
   }
 };
 
+/// Deletes the instructions marked in `dead` without changing the CFG: a
+/// block whose every instruction is dead keeps its last slot as a `bra` to
+/// the block it fell through to, so block count, edges and every phi's
+/// predecessor list survive. Labels on deleted instructions move to the next
+/// survivor. Returns the number of instructions marked dead.
+int remove_dead(Kernel& k, const std::vector<char>& dead);
+
+/// Deletes every `bra` whose target is the next instruction — the leftovers
+/// of remove_dead once no phi depends on the block structure any more.
+/// Returns instructions removed.
+int remove_fallthrough_branches(Kernel& k);
+
 BlockLiveness compute_block_liveness(const Kernel& k,
                                      const std::vector<BasicBlock>& blocks);
 

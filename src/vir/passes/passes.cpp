@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
-#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "vir/cfg.hpp"
@@ -32,40 +31,13 @@ std::vector<int> use_counts(const Kernel& k) {
   return uses;
 }
 
-/// Replaces every operand read of `from` with `to`, program-wide. Only legal
-/// for single-def registers whose definitions carry the same value.
-void rewrite_uses(Kernel& k, std::uint32_t from, std::uint32_t to) {
-  for (Instr& in : k.code) {
-    if (in.a == from) in.a = to;
-    if (in.b == from) in.b = to;
-    if (in.c == from) in.c = to;
+/// Redirects every operand to the end of its `repl` chain (kNoReg: keep).
+/// A chain only ever ends at a register whose own entry was still unset,
+/// so chains cannot cycle.
+void apply_repl(Instr& in, const std::vector<std::uint32_t>& repl) {
+  for (std::uint32_t* r : {&in.a, &in.b, &in.c}) {
+    while (*r != kNoReg && repl[*r] != kNoReg) *r = repl[*r];
   }
-}
-
-/// Compacts out instructions marked dead and remaps the label table (labels
-/// store instruction indices; branch operands store label ids and need no
-/// fixing). A label on a removed instruction moves to the next survivor.
-int remove_dead(Kernel& k, const std::vector<char>& dead) {
-  const std::int32_t n = static_cast<std::int32_t>(k.code.size());
-  std::vector<std::int32_t> new_index(static_cast<std::size_t>(n) + 1, 0);
-  std::int32_t kept = 0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    new_index[static_cast<std::size_t>(i)] = kept;
-    if (!dead[static_cast<std::size_t>(i)]) ++kept;
-  }
-  new_index[static_cast<std::size_t>(n)] = kept;
-  if (kept == n) return 0;
-
-  std::vector<Instr> code;
-  code.reserve(static_cast<std::size_t>(kept));
-  for (std::int32_t i = 0; i < n; ++i) {
-    if (!dead[static_cast<std::size_t>(i)]) code.push_back(k.code[static_cast<std::size_t>(i)]);
-  }
-  k.code = std::move(code);
-  for (std::int32_t& target : k.labels) {
-    if (target >= 0 && target <= n) target = new_index[static_cast<std::size_t>(target)];
-  }
-  return n - kept;
 }
 
 }  // namespace
@@ -89,38 +61,52 @@ int max_live_pressure(const Kernel& k) {
 }
 
 int run_copy_propagation(Kernel& k) {
-  int removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    const std::vector<int> defs = def_counts(k);
-    std::vector<char> dead(k.code.size(), 0);
-    for (std::size_t i = 0; i < k.code.size(); ++i) {
-      const Instr& in = k.code[i];
-      if (in.op != Opcode::kMov || in.dst == kNoReg || in.a == kNoReg) continue;
-      if (in.dst == in.a) {  // identity copy: a no-op at any def count
-        dead[i] = 1;
-        changed = true;
-        continue;
-      }
-      if (defs[in.dst] != 1 || defs[in.a] != 1) continue;
-      if (k.vreg_types[in.dst] != k.vreg_types[in.a]) continue;
-      rewrite_uses(k, in.dst, in.a);
+  const std::vector<int> defs = def_counts(k);
+  // repl[d] is the source of the deleted copy into d.
+  std::vector<std::uint32_t> repl(k.num_vregs(), kNoReg);
+  std::vector<char> dead(k.code.size(), 0);
+  for (std::size_t i = 0; i < k.code.size(); ++i) {
+    Instr& in = k.code[i];
+    apply_repl(in, repl);
+    if (in.op != Opcode::kMov || in.dst == kNoReg || in.a == kNoReg) continue;
+    if (in.dst == in.a) {  // identity copy: a no-op at any def count
       dead[i] = 1;
-      changed = true;
+      continue;
     }
-    if (changed) removed += remove_dead(k, dead);
+    if (defs[in.dst] != 1 || defs[in.a] != 1) continue;
+    if (k.vreg_types[in.dst] != k.vreg_types[in.a]) continue;
+    repl[in.dst] = in.a;
+    dead[i] = 1;
   }
-  return removed;
+  // Reads that precede their copy in code order (phi operands on back edges).
+  for (Instr& in : k.code) apply_repl(in, repl);
+  return remove_dead(k, dead);
 }
 
 namespace {
 
-// (opcode, op type, dst type, operands, immediates, flags) — everything a
-// pure instruction's value depends on.
-using GvnKey = std::tuple<std::uint8_t, std::uint8_t, std::uint8_t, std::uint32_t,
-                          std::uint32_t, std::uint32_t, std::int64_t, std::uint64_t,
-                          std::uint8_t>;
+/// Everything a pure instruction's value depends on: opcode, op type, dst
+/// type, operands, immediates and flags.
+struct GvnKey {
+  std::uint8_t op, type, dst_type, flags;
+  std::uint32_t a, b, c;
+  std::int64_t imm;
+  std::uint64_t fimm_bits;
+
+  bool operator==(const GvnKey&) const = default;
+};
+
+struct GvnKeyHash {
+  std::size_t operator()(const GvnKey& k) const {
+    std::uint64_t h = (std::uint64_t(k.op) << 24) | (std::uint64_t(k.type) << 16) |
+                      (std::uint64_t(k.dst_type) << 8) | k.flags;
+    for (std::uint64_t v : {std::uint64_t(k.a) << 32 | k.b, std::uint64_t(k.c),
+                            static_cast<std::uint64_t>(k.imm), k.fimm_bits}) {
+      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
 
 GvnKey make_gvn_key(const Instr& in, const Kernel& k) {
   std::uint32_t a = in.a, b = in.b;
@@ -138,8 +124,8 @@ GvnKey make_gvn_key(const Instr& in, const Kernel& k) {
   static_assert(sizeof fbits == sizeof in.fimm);
   std::memcpy(&fbits, &in.fimm, sizeof fbits);
   return {static_cast<std::uint8_t>(in.op), static_cast<std::uint8_t>(in.type),
-          static_cast<std::uint8_t>(k.vreg_types[in.dst]), a, b, in.c, in.imm,
-          fbits, in.flags};
+          static_cast<std::uint8_t>(k.vreg_types[in.dst]), in.flags, a, b, in.c, in.imm,
+          fbits};
 }
 
 }  // namespace
@@ -151,23 +137,29 @@ int run_gvn(Kernel& k) {
   const std::vector<int> defs = def_counts(k);
   const Cfg cfg = build_dominator_cfg(k);
 
+  // repl[r] is the dominating leader that replaces the deleted def of r.
+  std::vector<std::uint32_t> repl(k.num_vregs(), kNoReg);
   int hits = 0;
   std::vector<char> dead(k.code.size(), 0);
-  // DFS over the dominator tree; each block inherits (a copy of) the value
-  // table of its immediate dominator, so a hit always has a dominating def.
-  struct Frame {
-    std::int32_t block;
-    std::map<GvnKey, std::uint32_t> table;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({0, {}});
+  // One scoped table over a preorder walk of the dominator tree: a block's
+  // entries stay visible to the blocks it dominates and are undone when the
+  // walk leaves it, so a hit always has a dominating def.
+  std::unordered_map<GvnKey, std::uint32_t, GvnKeyHash> table;
+  std::vector<GvnKey> undo;
+  std::vector<std::size_t> undo_mark(cfg.blocks.size(), 0);
+  std::vector<std::pair<std::int32_t, bool>> stack = {{0, false}};  // (block, leaving)
   while (!stack.empty()) {
-    Frame frame = std::move(stack.back());
+    const auto [b, leaving] = stack.back();
     stack.pop_back();
-    const BasicBlock& bb = cfg.blocks[static_cast<std::size_t>(frame.block)];
-    for (std::int32_t i = bb.begin; i < bb.end; ++i) {
-      Instr& in = k.code[i];
-      if (dead[static_cast<std::size_t>(i)]) continue;
+    const std::size_t bi = static_cast<std::size_t>(b);
+    if (leaving) {
+      for (; undo.size() > undo_mark[bi]; undo.pop_back()) table.erase(undo.back());
+      continue;
+    }
+    undo_mark[bi] = undo.size();
+    for (std::int32_t i = cfg.blocks[bi].begin; i < cfg.blocks[bi].end; ++i) {
+      Instr& in = k.code[static_cast<std::size_t>(i)];
+      apply_repl(in, repl);
       // Phis are pure but their value depends on the edge taken, not on
       // their operand tuple — never number them.
       if (in.op == Opcode::kPhi) continue;
@@ -179,28 +171,23 @@ int run_gvn(Kernel& k) {
       });
       if (!stable) continue;
       const GvnKey key = make_gvn_key(in, k);
-      auto it = frame.table.find(key);
-      if (it != frame.table.end()) {
-        rewrite_uses(k, in.dst, it->second);
+      auto [it, inserted] = table.try_emplace(key, in.dst);
+      if (inserted) {
+        undo.push_back(key);
+      } else {
+        repl[in.dst] = it->second;
         dead[static_cast<std::size_t>(i)] = 1;
         ++hits;
-      } else {
-        frame.table.emplace(key, in.dst);
       }
     }
-    // Each child inherits the parent's table; the frame is discarded after
-    // this loop, so the last child can take it by move instead of by copy.
-    const auto& children = cfg.dom_children[static_cast<std::size_t>(frame.block)];
-    for (std::size_t ci = 0; ci < children.size(); ++ci) {
-      if (ci + 1 == children.size()) {
-        stack.push_back({children[ci], std::move(frame.table)});
-      } else {
-        stack.push_back({children[ci], frame.table});
-      }
-    }
+    stack.push_back({b, true});
+    for (std::int32_t child : cfg.dom_children[bi]) stack.push_back({child, false});
   }
 
   if (hits == 0) return 0;
+  // Uses the walk reached before their leader's hit (phi operands on back
+  // edges, blocks outside the dominator tree) are redirected here.
+  for (Instr& in : k.code) apply_repl(in, repl);
   remove_dead(k, dead);
   // Merging computations can lengthen the surviving value's live range (an
   // immediate re-materialized per block is cheaper than one register pinned
@@ -435,8 +422,15 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
     }
     ssa::DestructStats ds;
     if (cs.converted) ds = ssa::destruct(k);
-    if (!ds.ok || k.code.size() >= snapshot.code.size() ||
-        max_live_pressure(k) > pressure_in) {
+    if (!ds.ok) {
+      ++s.ssa_destruct_reverts;
+      k = snapshot;
+      break;
+    }
+    // With the phis gone, the branches that kept emptied blocks alive are
+    // plain fall-throughs.
+    remove_fallthrough_branches(k);
+    if (k.code.size() >= snapshot.code.size() || max_live_pressure(k) > pressure_in) {
       k = snapshot;
       break;
     }

@@ -34,6 +34,8 @@ struct PassStats {
   int phi_count = 0;            // phis placed by SSA construction (first round)
   int ssa_bailouts = 0;         // 1 when first-round SSA construction left a
                                 // non-empty kernel in multi-def form
+  int ssa_destruct_reverts = 0; // 1 when SSA destruction failed and the
+                                // iteration was reverted
   int ssa_copies_folded = 0;    // movs folded into SSA renaming (kept rounds)
   int phi_copies_coalesced = 0; // phi-elimination copies coalesced (kept rounds)
 };
@@ -51,8 +53,11 @@ int run_copy_propagation(Kernel& k);
 /// Dominator-based global value numbering over the structured block list:
 /// a pure instruction whose (opcode, type, operands, immediates) value was
 /// already computed by a dominating instruction is deleted and its uses
-/// redirected. Reverted wholesale if peak pressure would grow (merging
-/// immediates across blocks can lengthen live ranges). Returns hits.
+/// redirected. One scoped hash table and one redirect vector keep it linear
+/// in the kernel size. Codegen does no value numbering of its own, so this
+/// is the only pass that merges redundant pure code. Reverted wholesale if
+/// peak pressure would grow (merging immediates across blocks can lengthen
+/// live ranges). Returns hits.
 int run_gvn(Kernel& k);
 
 /// Deletes pure instructions (and side-effect-free global loads) whose
@@ -72,14 +77,16 @@ int run_strength_reduction(Kernel& k);
 int run_pressure_scheduling(Kernel& k);
 
 /// The pipeline behind --opt-level:
-///   0: nothing (the seed behaviour)
+///   0: nothing (codegen's output as emitted)
 ///   1: copy propagation + DCE
 ///   2: + strength reduction, GVN, pressure scheduling
 /// At level >= 1 each iteration runs SSA construction, the passes, then SSA
 /// destruction, and repeats while an iteration both performs counted work
 /// and strictly shrinks the kernel without raising pressure; the final
 /// no-progress iteration is reverted wholesale, which is what makes the
-/// pipeline a fixpoint (running it again is byte-identical).
+/// pipeline a fixpoint (running it again is byte-identical). Deletions keep
+/// emptied blocks as fall-through `bra`s while phis exist; a kept iteration
+/// drops them after SSA destruction.
 PassStats run_pipeline(Kernel& k, int opt_level);
 
 }  // namespace safara::vir::passes

@@ -42,8 +42,10 @@ struct DestructStats {
   /// coalescing (includes copies that became self-moves).
   int coalesced = 0;
   /// False when the CFG no longer matches the phis' operand lists (a pass
-  /// emptied a block and merged two others); the caller must revert the
-  /// kernel to its pre-SSA snapshot.
+  /// moved a phi off its block head or changed a join's predecessors); the
+  /// caller must revert the kernel to its pre-SSA snapshot. Passes delete
+  /// through vir::remove_dead, which keeps emptied blocks, so this is a
+  /// safety net that `vir.ssa_destruct_reverts` counts.
   bool ok = true;
 };
 

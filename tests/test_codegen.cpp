@@ -1,6 +1,6 @@
 // Codegen unit tests: kernel parameter construction (dope vectors, dim
-// sharing, small narrowing), VIR structure, value numbering / hoisting, and
-// the atomic reduction lowering.
+// sharing, small narrowing), VIR structure, hoisting, the PGI persona's
+// statement-scoped load reuse, and the atomic reduction lowering.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,6 +8,7 @@
 #include "codegen/codegen.hpp"
 #include "parse/parser.hpp"
 #include "sema/sema.hpp"
+#include "vir/passes/passes.hpp"
 #include "vir/vir.hpp"
 
 namespace safara::codegen {
@@ -144,7 +145,10 @@ TEST(Codegen, DimEnablesOffsetSharing) {
   both.honor_dim = true;
   auto base = gen(kAllocPair);
   auto dim = gen(kAllocPair, both);
-  // With one dope set, the p/q offset chains unify: fewer multiplies.
+  // With one dope set, the p/q offset chains become identical and VIR GVN
+  // merges them: fewer multiplies once the O2 pipeline has run.
+  vir::passes::run_pipeline(base->result.kernel, 2);
+  vir::passes::run_pipeline(dim->result.kernel, 2);
   EXPECT_LT(count_ops(dim->result.kernel, Opcode::kMul),
             count_ops(base->result.kernel, Opcode::kMul));
 }
@@ -287,6 +291,57 @@ void f(int n, const float *x, float *y, float *z) {
   pgi.cse_loads_within_stmt = true;
   auto c = gen(src, pgi);
   EXPECT_EQ(count_ops(c->result.kernel, Opcode::kLdGlobal), 2);
+}
+
+TEST(Codegen, StatementCseKeepsForInitAndBoundApart) {
+  // The init is evaluated once before the loop, the bound on every trip (in
+  // the loop's frame): one `for` statement, two loads.
+  const char* src = R"(
+void f(int n, const int *x, float *y) {
+  #pragma acc parallel loop gang vector
+  for (i = 0; i < n; i++) {
+    #pragma acc loop seq
+    for (k = x[0]; k < x[0]; k++) { y[i] = 1.0f; }
+  }
+})";
+  CodegenOptions pgi;
+  pgi.cse_loads_within_stmt = true;
+  auto c = gen(src, pgi);
+  EXPECT_EQ(count_ops(c->result.kernel, Opcode::kLdGlobal), 2);
+}
+
+TEST(Codegen, StatementCseNeverReusesRetargetedLoad) {
+  // `k = m[0]` and `t = x[i]` load straight into the variable's slot; the
+  // vreg the load first named is then never defined, so handing it out for
+  // a later identical reference would read garbage.
+  const char* src = R"(
+void f(int n, const int *m, const float *x, float *y) {
+  #pragma acc parallel loop gang vector
+  for (i = 0; i < n; i++) {
+    float t = x[i];
+    #pragma acc loop seq
+    for (k = m[0]; k < m[0]; k++) { t = t + x[i] * x[i]; }
+    y[i] = t;
+  }
+})";
+  CodegenOptions pgi;
+  pgi.cse_loads_within_stmt = true;
+  auto c = gen(src, pgi);
+  const vir::Kernel& k = c->result.kernel;
+  std::vector<bool> defined(k.num_vregs(), false);
+  for (const Instr& in : k.code) {
+    if (vir::has_dst(in.op) && in.dst != vir::kNoReg) defined[in.dst] = true;
+  }
+  int loads_into_slots = 0;
+  for (const Instr& in : k.code) {
+    for (std::uint32_t r : {in.a, in.b, in.c}) {
+      if (r != vir::kNoReg) EXPECT_TRUE(defined[r]) << "vreg " << r << " read but never defined";
+    }
+    if (in.op == Opcode::kLdGlobal && !k.vreg_names[in.dst].empty()) ++loads_into_slots;
+  }
+  EXPECT_EQ(loads_into_slots, 2);  // t = x[i] and k = m[0] were retargeted
+  // x[i] * x[i] shares one load; x[i] in t's init and the two m[0] do not.
+  EXPECT_EQ(count_ops(k, Opcode::kLdGlobal), 4);
 }
 
 TEST(Codegen, InvariantHoistingMovesWorkOut) {

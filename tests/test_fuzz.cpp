@@ -1,7 +1,8 @@
 // Differential fuzzing subsystem tests: generator determinism and argument
 // convention, all oracles over generated seeds and the checked-in corpus,
 // the self-test path (an injected miscompile must be caught AND reduced to a
-// tiny reproducer), and the greedy reducer itself.
+// tiny reproducer), the greedy reducer itself, and the O2 pipeline's SSA
+// round trip over generated programs.
 //
 // SAFARA_CORPUS_DIR is injected by tests/CMakeLists.txt and points at the
 // source-tree tests/corpus directory.
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/compiler.hpp"
 #include "fuzz/fuzz.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/oracles.hpp"
@@ -103,6 +105,32 @@ TEST(FuzzOracles, GeneratedSeedsPassEveryOracle) {
       EXPECT_EQ(r.status, Status::kOk)
           << "seed " << seed << " oracle " << to_string(o) << ": " << r.detail << "\n"
           << src;
+    }
+  }
+}
+
+TEST(FuzzPipeline, NoSsaDestructRevertsUnderPaperConfigs) {
+  // Every O2 iteration's SSA round trip must survive the passes: a revert
+  // throws away that iteration's work on the kernel.
+  driver::CompilerOptions configs[] = {
+      driver::CompilerOptions::openuh_base(),
+      driver::CompilerOptions::openuh_small(),
+      driver::CompilerOptions::openuh_small_dim(),
+      driver::CompilerOptions::openuh_safara(),
+      driver::CompilerOptions::openuh_safara_clauses(),
+      driver::CompilerOptions::pgi_like(),
+  };
+  for (driver::CompilerOptions& opts : configs) opts.opt_level = 2;
+  // 200 seeds: the first kernels whose blocks empty mid-pipeline appear
+  // just past seed 100.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const std::string src = generate_program(seed);
+    for (const driver::CompilerOptions& opts : configs) {
+      driver::Compiler compiler(opts);
+      const driver::CompiledProgram prog = compiler.compile(src);
+      for (const driver::CompiledKernel& k : prog.kernels) {
+        EXPECT_EQ(k.vir_stats.ssa_destruct_reverts, 0) << "seed " << seed << ", " << k.name;
+      }
     }
   }
 }

@@ -1,8 +1,8 @@
 // Tests for the dominator CFG module and the SSA construction/destruction
 // pair the pass pipeline wraps around its optimizers: phi placement at
 // loop-header joins, pruning, copy folding into the rename, the bail-out
-// paths that leave a kernel untouched, and the pipeline-level contract that
-// no kPhi ever escapes.
+// paths that leave a kernel untouched, the pipeline-level contract that no
+// kPhi ever escapes, and blocks emptied mid-pipeline keeping the CFG intact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "codegen/codegen.hpp"
+#include "parse/parser.hpp"
+#include "sema/sema.hpp"
 #include "vir/cfg.hpp"
 #include "vir/liveness.hpp"
 #include "vir/passes/passes.hpp"
@@ -352,6 +355,89 @@ TEST(SsaPipeline, MultiDefSlotNowOptimizable) {
   EXPECT_LT(b.size(), before) << "dead first def of the multi-def slot survived";
   EXPECT_GE(stats.dce_removed, 1);
   EXPECT_EQ(phi_count(b.k), 0);
+}
+
+TEST(SsaPipeline, EmptiedBlockKeepsPhiEdgesAndDestructSucceeds) {
+  // An if/else join followed by a dead `seq` loop (t0 is never read). SSA
+  // folds the `t0 = 0` and `k0 = 0` copies, which empties the block between
+  // the join and the loop head — a predecessor of the loop-header phi.
+  // Deleting through vir::remove_dead keeps that block as a `bra`, so
+  // destruction still matches every phi operand to its edge, and the
+  // iteration that deletes the dead loop body is kept instead of reverted.
+  const char* src = R"(
+void f(int n, int m, int c0, float *x, int *y) {
+  #pragma acc parallel loop gang vector
+  for (i = 0; i < n; i++) {
+    if (c0 <= m) {
+      x[i] = 1.0f;
+    } else {
+      y[i] = m;
+    }
+    int t0 = 0;
+    #pragma acc loop seq
+    for (k0 = 0; k0 < 4; k0++) {
+      t0 = m * k0;
+    }
+    y[i] = i;
+  }
+})";
+  DiagnosticEngine diags;
+  ast::Program program = parse::parse_source(src, diags);
+  sema::Sema sema(diags);
+  auto info = sema.analyze(*program.functions.front());
+  ASSERT_TRUE(diags.ok()) << diags.render();
+  Kernel k = codegen::generate_kernel(*info, info->regions[0], 0, {}, diags).kernel;
+  ASSERT_TRUE(diags.ok()) << diags.render();
+  auto defines_t0 = [](const Kernel& kern) {
+    for (const Instr& in : kern.code) {
+      if (has_dst(in.op) && in.dst != kNoReg && kern.vreg_names[in.dst] == "t0") return true;
+    }
+    return false;
+  };
+  ASSERT_TRUE(defines_t0(k));
+
+  const passes::PassStats stats = passes::run_pipeline(k, 2);
+  EXPECT_EQ(stats.ssa_bailouts, 0);
+  EXPECT_EQ(stats.ssa_destruct_reverts, 0);
+  EXPECT_GE(stats.dce_removed, 1);
+  EXPECT_FALSE(defines_t0(k)) << "the dead loop body survived O2:\n" << to_string(k);
+  EXPECT_EQ(phi_count(k), 0);
+}
+
+TEST(RemoveDead, EmptiedBlockBecomesBranchToItsFallThrough) {
+  // Instruction 3 is a block of its own between the cbr and the join label.
+  // When it dies the block must survive as a `bra` to the join, so the join
+  // keeps both predecessors.
+  KB b;
+  auto x = b.reg(VType::kI32);
+  auto p = b.reg(VType::kPred);
+  std::int32_t join = b.label();
+  b.emit(Opcode::kMovImmI, VType::kI32, x).imm = 1;  // 0
+  b.emit(Opcode::kSetGe, VType::kI32, p, x, x);       // 1
+  {
+    Instr& br = b.emit(Opcode::kCbr, VType::kI32, kNoReg, p);  // 2
+    br.imm = join;
+    br.imm2 = join;
+  }
+  b.emit(Opcode::kAdd, VType::kI32, x, x, x);         // 3: the doomed block
+  b.place(join);
+  b.emit(Opcode::kExit, VType::kI32);                 // 4
+
+  const Cfg cfg_in = build_dominator_cfg(b.k);
+  std::vector<char> dead(b.k.code.size(), 0);
+  dead[3] = 1;
+  EXPECT_EQ(remove_dead(b.k, dead), 1);
+  const Cfg cfg_out = build_dominator_cfg(b.k);
+  EXPECT_EQ(cfg_out.blocks.size(), cfg_in.blocks.size());
+  EXPECT_EQ(cfg_out.preds, cfg_in.preds);
+  ASSERT_EQ(b.size(), 5);
+  EXPECT_EQ(b.k.code[3].op, Opcode::kBra);
+  EXPECT_EQ(b.k.target(static_cast<std::int32_t>(b.k.code[3].imm)), 4);
+
+  // Once no phi needs it, the fall-through branch goes.
+  EXPECT_EQ(remove_fallthrough_branches(b.k), 1);
+  EXPECT_EQ(b.size(), 4);
+  EXPECT_EQ(b.k.target(join), 3);
 }
 
 }  // namespace
