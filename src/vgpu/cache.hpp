@@ -17,7 +17,11 @@ class CacheModel {
 
   /// Touches the line containing `addr`; returns true on hit.
   bool access(std::uint64_t addr) {
-    const std::uint64_t line = addr / static_cast<std::uint64_t>(line_bytes_);
+    return access_line(addr / static_cast<std::uint64_t>(line_bytes_));
+  }
+
+  /// Touches line number `line` (address / line size); returns true on hit.
+  bool access_line(std::uint64_t line) {
     const std::size_t set = static_cast<std::size_t>(line % static_cast<std::uint64_t>(num_sets_));
     Entry* base = &sets_[set * static_cast<std::size_t>(ways_)];
     ++clock_;

@@ -1,13 +1,13 @@
 #include "vgpu/sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -61,9 +61,11 @@ std::uint64_t from_i64(std::int64_t v) { return static_cast<std::uint64_t>(v); }
 
 // -- pure functional semantics -------------------------------------------------
 //
-// Shared by the per-instruction reference interpreter and the superblock bulk
-// executor; keeping a single definition is what makes "bit-identical results
-// between dispatch engines" a structural property rather than a test outcome.
+// The scalar helpers below back SmSimulator::alu(), the one implementation of
+// every register-to-register opcode: the per-instruction reference
+// interpreter and the superblock bulk executor both call it, which is what
+// makes "bit-identical results between dispatch engines" a structural
+// property rather than a test outcome.
 
 std::uint64_t arith(Opcode op, VType t, std::uint64_t av, std::uint64_t bv) {
   switch (t) {
@@ -166,53 +168,6 @@ std::uint64_t unary_fn(Opcode op, VType t, std::uint64_t av, std::uint64_t bv) {
       return from_f64(apply(as_f64(av), as_f64(bv)));
     case VType::kPred:
       break;
-  }
-  return 0;
-}
-
-bool compare(Opcode op, VType t, std::uint64_t av, std::uint64_t bv) {
-  auto cmp = [&](auto a, auto b) -> bool {
-    switch (op) {
-      case Opcode::kSetLt: return a < b;
-      case Opcode::kSetLe: return a <= b;
-      case Opcode::kSetGt: return a > b;
-      case Opcode::kSetGe: return a >= b;
-      case Opcode::kSetEq: return a == b;
-      case Opcode::kSetNe: return a != b;
-      default: return false;
-    }
-  };
-  switch (t) {
-    case VType::kI32: return cmp(as_i32(av), as_i32(bv));
-    case VType::kI64: return cmp(as_i64(av), as_i64(bv));
-    case VType::kF32: return cmp(as_f32(av), as_f32(bv));
-    case VType::kF64: return cmp(as_f64(av), as_f64(bv));
-    case VType::kPred: return cmp(av & 1, bv & 1);
-  }
-  return false;
-}
-
-std::uint64_t convert(VType to, VType from, std::uint64_t v) {
-  double d = 0;
-  std::int64_t i = 0;
-  bool src_float = from == VType::kF32 || from == VType::kF64;
-  if (from == VType::kF32) d = as_f32(v);
-  if (from == VType::kF64) d = as_f64(v);
-  if (from == VType::kI32) i = as_i32(v);
-  if (from == VType::kI64) i = as_i64(v);
-  if (from == VType::kPred) i = static_cast<std::int64_t>(v & 1);
-  switch (to) {
-    case VType::kI32:
-      return from_i32(src_float ? static_cast<std::int32_t>(d)
-                                : static_cast<std::int32_t>(i));
-    case VType::kI64:
-      return from_i64(src_float ? static_cast<std::int64_t>(d) : i);
-    case VType::kF32:
-      return from_f32(src_float ? static_cast<float>(d) : static_cast<float>(i));
-    case VType::kF64:
-      return from_f64(src_float ? d : static_cast<double>(i));
-    case VType::kPred:
-      return (src_float ? d != 0.0 : i != 0) ? 1 : 0;
   }
   return 0;
 }
@@ -523,14 +478,36 @@ class SmSimulator {
         stats_(stats),
         prof_(prof),
         tracker_(tracker),
-        ro_cache_(spec.ro_cache_bytes, spec.ro_cache_line, spec.ro_cache_ways) {}
+        ro_cache_(spec.ro_cache_bytes, spec.ro_cache_line, spec.ro_cache_ways),
+        seg_shift_(static_cast<unsigned>(std::countr_zero(
+            static_cast<unsigned>(spec.memory_segment)))),
+        line_shift_(static_cast<unsigned>(std::countr_zero(
+            static_cast<unsigned>(spec.ro_cache_line)))) {}
 
   /// Dynamic count of superblocks retired through the fast path.
   std::uint64_t superblock_retires() const { return superblock_retires_; }
 
+  /// Warp-level coalescing computations that took the exact set-based path
+  /// because their lane ids did not arrive in rising order.
+  std::uint64_t coalesce_fallbacks() const { return coalesce_fallbacks_; }
+
   /// Runs the given linear block indices to completion; returns SM cycles.
+  ///
+  /// Each loop iteration is one scheduling decision: starting at resident
+  /// position `rr % n` and wrapping around, the ready warps are stepped in
+  /// admission order until `schedulers_per_sm` of them have issued. The
+  /// ready set and the timing wheel (see "warp scheduling" below) make that
+  /// visit, and the jump over idle cycles, cost what is issued rather than
+  /// what is resident.
   std::uint64_t run(const std::vector<std::int64_t>& block_ids, int blocks_per_sm) {
     if (prof_) prof_->pcs.assign(k_.code.size(), obs::PcProfile{});
+    const int warps_per_block =
+        (cfg_.threads_per_block() + spec_.warp_size - 1) / spec_.warp_size;
+    words_ = (static_cast<std::size_t>(blocks_per_sm) * static_cast<std::size_t>(warps_per_block) +
+              63) / 64;
+    ready_.assign(words_, 0);
+    far_.assign(words_, 0);
+    wheel_.assign(kWheelSlots * words_, 0);
     pending_ = &block_ids;
     next_pending_ = 0;
     for (int i = 0; i < blocks_per_sm && next_pending_ < pending_->size(); ++i) {
@@ -539,37 +516,40 @@ class SmSimulator {
     cycle_ = 0;
     std::size_t rr = 0;
     while (!warps_.empty()) {
+      collect_due();
       int issued = 0;
       int finished_now = 0;
       std::int32_t first_issue_pc = 0;
-      const std::size_t n = warps_.size();
-      std::size_t idx = rr % n;
-      // The scan reads the contiguous ready-cycle mirror and only touches a
-      // Warp it can actually step; stalled warps (the common case) cost one
-      // in-cache compare instead of a pointer chase.
-      for (std::size_t scan = 0; scan < n && issued < spec_.schedulers_per_sm; ++scan) {
-        if (ready_mirror_[idx] <= cycle_) {
-          Warp& w = *warps_[idx];
-          if (step(w)) {
-            // Per-pc attribution: step() recorded the pc it issued in
-            // last_issue_pc_. The cycle's first issue claims the issue-cycle
-            // credit, but only below where the SM-level counter increments —
-            // the final cycle (empty-SM break) issues without being counted,
-            // and the per-pc sums must reproduce the SM totals exactly.
-            if (prof_) {
-              ++prof_->pcs[static_cast<std::size_t>(last_issue_pc_)].issued;
-              if (issued == 0) first_issue_pc = last_issue_pc_;
-            }
-            ++issued;
+      // Steps the ready warp at position p; false once every scheduler slot
+      // of this cycle is used. Only the stepped warp changes state, so the
+      // ready bits of positions not yet visited stay valid for the rest of
+      // the visit.
+      auto visit = [&](std::size_t p) {
+        Warp& w = *warps_[p];
+        clear_bit(ready_.data(), p);
+        if (step(w)) {
+          // Per-pc attribution: step() recorded the pc it issued in
+          // last_issue_pc_. The cycle's first issue claims the issue-cycle
+          // credit, but only below where the SM-level counter increments —
+          // the final cycle (empty-SM break) issues without being counted,
+          // and the per-pc sums must reproduce the SM totals exactly.
+          if (prof_) {
+            ++prof_->pcs[static_cast<std::size_t>(last_issue_pc_)].issued;
+            if (issued == 0) first_issue_pc = last_issue_pc_;
           }
-          if (w.finished) {
-            ready_mirror_[idx] = kFinishedMirror;
-            ++finished_now;
-          } else {
-            ready_mirror_[idx] = w.ready_cycle;
-          }
+          ++issued;
         }
-        if (++idx == n) idx = 0;
+        if (w.finished) {
+          ++finished_now;
+        } else {
+          wait_until(p, w.ready_cycle);
+        }
+        return issued < spec_.schedulers_per_sm;
+      };
+      const std::size_t n = warps_.size();
+      const std::size_t start = rr % n;
+      if (for_each_bit(ready_.data(), start, n, visit)) {
+        for_each_bit(ready_.data(), 0, start, visit);
       }
       ++rr;
       // Account issued instructions before the empty-SM break below: the
@@ -583,17 +563,10 @@ class SmSimulator {
       if (finished_now > 0) retire_finished();
       if (warps_.empty()) break;
       if (issued == 0) {
-        // retire_finished just ran, so every resident warp is unfinished and
-        // its mirror entry is its true ready cycle.
-        std::int64_t next = std::numeric_limits<std::int64_t>::max();
+        // Jump to the earliest ready cycle. The profiler charges the gap to
+        // the lowest-position warp among those with the minimum ready cycle.
         const Warp* blocker = nullptr;
-        for (std::size_t i = 0; i < warps_.size(); ++i) {
-          if (ready_mirror_[i] < next) {
-            next = ready_mirror_[i];
-            blocker = warps_[i].get();
-          }
-        }
-        const std::int64_t target = std::max(cycle_ + 1, next);
+        const std::int64_t target = std::max(cycle_ + 1, next_event(prof_ ? &blocker : nullptr));
         if (prof_) {
           // Attribute the whole idle gap to whatever the earliest-unblocking
           // warp is waiting on, and to the instruction it is stalled at. A
@@ -625,12 +598,169 @@ class SmSimulator {
         }
         ++cycle_;
       }
+      if (far_min_ < cycle_ + kWheelSlots) migrate_far();
     }
     if (prof_) prof_->cycles = static_cast<std::uint64_t>(cycle_);
     return static_cast<std::uint64_t>(cycle_);
   }
 
  private:
+  // -- warp scheduling ----------------------------------------------------------
+  //
+  // A resident warp is named by its position in warps_ (admission order), and
+  // every unfinished one sits in exactly one of three position sets:
+  //  - ready_: ready_cycle <= cycle_;
+  //  - the timing wheel: ready_cycle in (cycle_, cycle_ + kWheelSlots), in the
+  //    bitset of slot ready_cycle & (kWheelSlots - 1) — within that window a
+  //    slot names exactly one cycle — with busy_ marking the nonempty slots;
+  //  - far_: ready_cycle beyond the wheel (memory queueing waits are
+  //    unbounded), moved into the wheel once the window reaches it.
+  // Retiring a warp removes its position from every set, shifting the higher
+  // positions down exactly as vector::erase shifts warps_.
+
+  static constexpr std::int64_t kWheelSlots = 1024;
+  static constexpr std::size_t kBusyWords = kWheelSlots / 64;
+
+  static void set_bit(std::uint64_t* bits, std::size_t p) { bits[p / 64] |= 1ull << (p % 64); }
+  static void clear_bit(std::uint64_t* bits, std::size_t p) {
+    bits[p / 64] &= ~(1ull << (p % 64));
+  }
+
+  /// Deletes position p from a position bitset: bits above p move down one.
+  static void erase_bit(std::uint64_t* bits, std::size_t words, std::size_t p) {
+    const std::size_t wi = p / 64;
+    const unsigned b = static_cast<unsigned>(p % 64);
+    const std::uint64_t below = bits[wi] & ((1ull << b) - 1);
+    const std::uint64_t above = b == 63 ? 0 : (bits[wi] >> (b + 1)) << b;
+    bits[wi] = below | above;
+    for (std::size_t i = wi + 1; i < words; ++i) {
+      bits[i - 1] |= (bits[i] & 1) << 63;
+      bits[i] >>= 1;
+    }
+  }
+
+  /// Calls fn(position) for each set bit in positions [lo, hi), ascending.
+  /// Iterates word snapshots, so fn may change the bit it is called for.
+  /// Returns false as soon as fn does.
+  template <typename Fn>
+  static bool for_each_bit(const std::uint64_t* bits, std::size_t lo, std::size_t hi, Fn&& fn) {
+    for (std::size_t wi = lo / 64; wi * 64 < hi; ++wi) {
+      std::uint64_t word = bits[wi];
+      if (wi == lo / 64) word &= ~std::uint64_t{0} << (lo % 64);
+      if (hi - wi * 64 < 64) word &= (std::uint64_t{1} << (hi - wi * 64)) - 1;
+      for (; word != 0; word &= word - 1) {
+        if (!fn(wi * 64 + static_cast<std::size_t>(std::countr_zero(word)))) return false;
+      }
+    }
+    return true;
+  }
+
+  std::uint64_t* wheel_slot(std::size_t slot) { return &wheel_[slot * words_]; }
+
+  /// Files position p under its ready cycle r.
+  void wait_until(std::size_t p, std::int64_t r) {
+    if (r <= cycle_) {
+      set_bit(ready_.data(), p);
+    } else if (r - cycle_ < kWheelSlots) {
+      const std::size_t slot = static_cast<std::size_t>(r & (kWheelSlots - 1));
+      set_bit(wheel_slot(slot), p);
+      set_bit(busy_, slot);
+    } else {
+      set_bit(far_.data(), p);
+      far_min_ = std::min(far_min_, r);
+    }
+  }
+
+  /// Moves the warps whose ready cycle is now into the ready set.
+  void collect_due() {
+    const std::size_t slot = static_cast<std::size_t>(cycle_ & (kWheelSlots - 1));
+    if (!(busy_[slot / 64] >> (slot % 64) & 1)) return;
+    std::uint64_t* bits = wheel_slot(slot);
+    for (std::size_t i = 0; i < words_; ++i) {
+      ready_[i] |= bits[i];
+      bits[i] = 0;
+    }
+    clear_bit(busy_, slot);
+  }
+
+  /// Refiles the far-list warps the wheel window has reached.
+  void migrate_far() {
+    far_min_ = std::numeric_limits<std::int64_t>::max();
+    for_each_bit(far_.data(), 0, warps_.size(), [&](std::size_t p) {
+      const std::int64_t r = warps_[p]->ready_cycle;
+      if (r - cycle_ < kWheelSlots) {
+        clear_bit(far_.data(), p);
+        wait_until(p, r);
+      } else {
+        far_min_ = std::min(far_min_, r);
+      }
+      return true;
+    });
+  }
+
+  /// The earliest ready cycle of any resident warp (every one is
+  /// unfinished here). With `blocker`, also the lowest-position warp that
+  /// has it.
+  std::int64_t next_event(const Warp** blocker) const {
+    std::int64_t best = std::numeric_limits<std::int64_t>::max();
+    std::size_t best_p = 0;
+    auto lowest_with_min = [&](const std::uint64_t* bits) {
+      for_each_bit(bits, 0, warps_.size(), [&](std::size_t p) {
+        if (warps_[p]->ready_cycle < best) {
+          best = warps_[p]->ready_cycle;
+          best_p = p;
+        }
+        return true;
+      });
+    };
+    bool any_ready = false;
+    for (std::size_t i = 0; i < words_; ++i) any_ready |= ready_[i] != 0;
+    if (any_ready) {
+      // Only warps admitted after this cycle's visit can be ready here, so
+      // the clock advances one cycle; the scan just picks the blocker.
+      if (!blocker) return cycle_;
+      lowest_with_min(ready_.data());
+    } else if (const std::int64_t slot = next_busy_slot(); slot >= 0) {
+      // Inside the window a slot holds exactly one ready cycle.
+      best = cycle_ + 1 + ((slot - (cycle_ + 1)) & (kWheelSlots - 1));
+      if (!blocker) return best;
+      for_each_bit(&wheel_[static_cast<std::size_t>(slot) * words_], 0, warps_.size(),
+                   [&](std::size_t p) {
+                     best_p = p;
+                     return false;
+                   });
+    } else {
+      // Only far waits remain; they all lie beyond any wheel entry.
+      if (!blocker) return far_min_;
+      lowest_with_min(far_.data());
+    }
+    *blocker = warps_[best_p].get();
+    return best;
+  }
+
+  /// The first nonempty wheel slot at or after cycle_ + 1 (circularly), or -1.
+  std::int64_t next_busy_slot() const {
+    const std::size_t from = static_cast<std::size_t>((cycle_ + 1) & (kWheelSlots - 1));
+    std::int64_t found = -1;
+    auto take = [&](std::size_t slot) {
+      found = static_cast<std::int64_t>(slot);
+      return false;
+    };
+    if (for_each_bit(busy_, from, kWheelSlots, take)) for_each_bit(busy_, 0, from, take);
+    return found;
+  }
+
+  /// Removes resident position p from the ready set, the wheel and the far
+  /// list (the warp itself sits in none of them: it has finished).
+  void erase_position(std::size_t p) {
+    erase_bit(ready_.data(), words_, p);
+    erase_bit(far_.data(), words_, p);
+    for_each_bit(busy_, 0, kWheelSlots, [&](std::size_t slot) {
+      erase_bit(wheel_slot(slot), words_, p);
+      return true;
+    });
+  }
+
   void admit_block() {
     std::int64_t linear = (*pending_)[next_pending_++];
     ResidentBlock rb;
@@ -672,7 +802,7 @@ class SmSimulator {
       if (prof_) w->reg_from_mem.assign(k_.num_vregs(), 0);
       w->ready_cycle = cycle_;
       warps_.push_back(std::move(w));
-      ready_mirror_.push_back(cycle_);
+      set_bit(ready_.data(), warps_.size() - 1);
     }
     if (prof_) {
       ++prof_->blocks_executed;
@@ -684,14 +814,14 @@ class SmSimulator {
 
   void retire_finished() {
     for (std::size_t i = 0; i < warps_.size();) {
-      if (ready_mirror_[i] != kFinishedMirror) {
+      if (!warps_[i]->finished) {
         ++i;
         continue;
       }
       int bi = warps_[i]->block_index;
       warp_pool_.push_back(std::move(warps_[i]));
       warps_.erase(warps_.begin() + static_cast<std::ptrdiff_t>(i));
-      ready_mirror_.erase(ready_mirror_.begin() + static_cast<std::ptrdiff_t>(i));
+      erase_position(i);
       if (--blocks_[static_cast<std::size_t>(bi)].warps_left == 0 &&
           next_pending_ < pending_->size()) {
         admit_block();
@@ -712,8 +842,9 @@ class SmSimulator {
     }
   }
 
-  std::uint64_t& reg(Warp& w, std::uint32_t r, int lane) {
-    return w.regs[static_cast<std::size_t>(r) * 32 + static_cast<std::size_t>(lane)];
+  /// The 32 lane values of register `r` (lane-contiguous storage).
+  static const std::uint64_t* lanes(const Warp& w, std::uint32_t r) {
+    return &w.regs[static_cast<std::size_t>(r) * 32];
   }
 
   /// Books `ntx` transactions on the SM's memory pipeline (the bandwidth
@@ -1072,149 +1203,166 @@ class SmSimulator {
     }
   }
 
+  /// Typed lane loops for cvt: the source projection and the destination
+  /// encoding are both hoisted out of the lane loop. Float sources widen to
+  /// double and integer/predicate sources to int64 before the final cast, so
+  /// every (to, from) pair goes through the same expression the scalar
+  /// conversion always used.
+  static void bulk_convert(VType to, VType from, std::uint32_t m, std::uint64_t* dst,
+                           const std::uint64_t* a) {
+    auto store_as = [&](auto load) {
+      switch (to) {
+        case VType::kI32:
+          for_lanes(m, [&](int l) { dst[l] = from_i32(static_cast<std::int32_t>(load(a[l]))); });
+          return;
+        case VType::kI64:
+          for_lanes(m, [&](int l) { dst[l] = from_i64(static_cast<std::int64_t>(load(a[l]))); });
+          return;
+        case VType::kF32:
+          for_lanes(m, [&](int l) { dst[l] = from_f32(static_cast<float>(load(a[l]))); });
+          return;
+        case VType::kF64:
+          for_lanes(m, [&](int l) { dst[l] = from_f64(static_cast<double>(load(a[l]))); });
+          return;
+        case VType::kPred:
+          for_lanes(m, [&](int l) { dst[l] = load(a[l]) != 0 ? 1 : 0; });
+          return;
+      }
+    };
+    switch (from) {
+      case VType::kI32:
+        store_as([](std::uint64_t v) { return static_cast<std::int64_t>(as_i32(v)); });
+        return;
+      case VType::kI64:
+        store_as([](std::uint64_t v) { return as_i64(v); });
+        return;
+      case VType::kF32:
+        store_as([](std::uint64_t v) { return static_cast<double>(as_f32(v)); });
+        return;
+      case VType::kF64:
+        store_as([](std::uint64_t v) { return as_f64(v); });
+        return;
+      case VType::kPred:
+        store_as([](std::uint64_t v) { return static_cast<std::int64_t>(v & 1); });
+        return;
+    }
+  }
+
+  /// Functional effect of one register-to-register instruction (every
+  /// opcode superblock_op_info() does not classify as a terminator) on the
+  /// warp's active lanes. The only lane-level implementation of these ops:
+  /// execute() and bulk_execute() both dispatch here.
+  void alu(Warp& w, const Instr& in) {
+    const std::uint32_t m = w.active;
+    std::uint64_t* dst = &w.regs[static_cast<std::size_t>(in.dst) * 32];
+    auto broadcast = [&](std::uint64_t v) { for_lanes(m, [&](int l) { dst[l] = v; }); };
+    switch (in.op) {
+      case Opcode::kMovImmI:
+        broadcast(in.type == VType::kI32 ? from_i32(static_cast<std::int32_t>(in.imm))
+                                         : from_i64(in.imm));
+        return;
+      case Opcode::kMovImmF:
+        broadcast(in.type == VType::kF32 ? from_f32(static_cast<float>(in.fimm))
+                                         : from_f64(in.fimm));
+        return;
+      case Opcode::kLdParam:
+        broadcast(params_[static_cast<std::size_t>(in.imm)]);
+        return;
+      case Opcode::kMov: {
+        const std::uint64_t* a = lanes(w, in.a);
+        if (m == 0xffffffffu) {
+          std::memcpy(dst, a, 32 * sizeof(std::uint64_t));
+        } else {
+          for_lanes(m, [&](int l) { dst[l] = a[l]; });
+        }
+        return;
+      }
+      case Opcode::kAdd:
+      case Opcode::kSub:
+      case Opcode::kMul:
+      case Opcode::kDiv:
+      case Opcode::kRem:
+      case Opcode::kMin:
+      case Opcode::kMax:
+        bulk_arith(in.op, in.type, m, dst, lanes(w, in.a), lanes(w, in.b));
+        return;
+      case Opcode::kNeg:
+      case Opcode::kAbs:
+      case Opcode::kSqrt:
+      case Opcode::kRsqrt:
+      case Opcode::kExp:
+      case Opcode::kLog:
+      case Opcode::kSin:
+      case Opcode::kCos:
+      case Opcode::kPow:
+      case Opcode::kFloor:
+      case Opcode::kCeil: {
+        const std::uint64_t* a = lanes(w, in.a);
+        const std::uint64_t* b = in.b == vir::kNoReg ? nullptr : lanes(w, in.b);
+        for_lanes(m, [&](int l) { dst[l] = unary_fn(in.op, in.type, a[l], b ? b[l] : 0); });
+        return;
+      }
+      case Opcode::kSetLt:
+      case Opcode::kSetLe:
+      case Opcode::kSetGt:
+      case Opcode::kSetGe:
+      case Opcode::kSetEq:
+      case Opcode::kSetNe:
+        bulk_compare(in.op, in.type, m, dst, lanes(w, in.a), lanes(w, in.b));
+        return;
+      case Opcode::kPredAnd: {
+        const std::uint64_t* a = lanes(w, in.a);
+        const std::uint64_t* b = lanes(w, in.b);
+        for_lanes(m, [&](int l) { dst[l] = (a[l] & b[l]) & 1; });
+        return;
+      }
+      case Opcode::kPredOr: {
+        const std::uint64_t* a = lanes(w, in.a);
+        const std::uint64_t* b = lanes(w, in.b);
+        for_lanes(m, [&](int l) { dst[l] = (a[l] | b[l]) & 1; });
+        return;
+      }
+      case Opcode::kPredNot: {
+        const std::uint64_t* a = lanes(w, in.a);
+        for_lanes(m, [&](int l) { dst[l] = (~a[l]) & 1; });
+        return;
+      }
+      case Opcode::kSelp: {
+        const std::uint64_t* a = lanes(w, in.a);
+        const std::uint64_t* b = lanes(w, in.b);
+        const std::uint64_t* c = lanes(w, in.c);
+        for_lanes(m, [&](int l) { dst[l] = (c[l] & 1) ? a[l] : b[l]; });
+        return;
+      }
+      case Opcode::kCvt:
+        bulk_convert(in.type, k_.vreg_types[in.a], m, dst, lanes(w, in.a));
+        return;
+      case Opcode::kMovSpecial: {
+        const int code = static_cast<int>(in.imm);
+        const ResidentBlock& rb = blocks_[static_cast<std::size_t>(w.block_index)];
+        for_lanes(m, [&](int l) {
+          dst[l] = special_value(code, rb, cfg_, spec_, w.warp_in_block, l);
+        });
+        return;
+      }
+      case Opcode::kPhi:
+        // Phis exist only between SSA construction and destruction inside the
+        // pass pipeline; the allocator and simulator operate on phi-free code.
+        // Rejected here so both dispatch engines refuse one the same way.
+        throw std::runtime_error("vgpu: phi instruction reached the simulator");
+      default:
+        return;  // memory, atomic and control-flow opcodes live in execute()
+    }
+  }
+
   /// Executes every instruction of a superblock functionally, in program
   /// order. Safe at block-entry time: the registers are warp-private, the
   /// active mask cannot change inside a block (no control flow), and no
   /// fusable op touches memory — so the values are independent of the issue
   /// cycles the drain later assigns.
   void bulk_execute(Warp& w, const Superblock& b) {
-    const bool full = w.active == 0xffffffffu;
     for (std::int32_t pc = b.begin; pc < b.end; ++pc) {
-      const Instr& in = k_.code[static_cast<std::size_t>(pc)];
-      std::uint64_t* dst = &w.regs[static_cast<std::size_t>(in.dst) * 32];
-      switch (in.op) {
-        case Opcode::kMovImmI: {
-          const std::uint64_t v = in.type == VType::kI32
-                                      ? from_i32(static_cast<std::int32_t>(in.imm))
-                                      : from_i64(in.imm);
-          if (full) {
-            for (int l = 0; l < 32; ++l) dst[l] = v;
-          } else {
-            for_active(w, [&](int lane) { dst[lane] = v; });
-          }
-          break;
-        }
-        case Opcode::kMovImmF: {
-          const std::uint64_t v = in.type == VType::kF32
-                                      ? from_f32(static_cast<float>(in.fimm))
-                                      : from_f64(in.fimm);
-          if (full) {
-            for (int l = 0; l < 32; ++l) dst[l] = v;
-          } else {
-            for_active(w, [&](int lane) { dst[lane] = v; });
-          }
-          break;
-        }
-        case Opcode::kMov: {
-          const std::uint64_t* a = &w.regs[static_cast<std::size_t>(in.a) * 32];
-          if (full) {
-            std::memcpy(dst, a, 32 * sizeof(std::uint64_t));
-          } else {
-            for_active(w, [&](int lane) { dst[lane] = a[lane]; });
-          }
-          break;
-        }
-        case Opcode::kAdd:
-        case Opcode::kSub:
-        case Opcode::kMul:
-        case Opcode::kDiv:
-        case Opcode::kRem:
-        case Opcode::kMin:
-        case Opcode::kMax: {
-          const std::uint64_t* a = &w.regs[static_cast<std::size_t>(in.a) * 32];
-          const std::uint64_t* bb = &w.regs[static_cast<std::size_t>(in.b) * 32];
-          bulk_arith(in.op, in.type, w.active, dst, a, bb);
-          break;
-        }
-        case Opcode::kNeg:
-        case Opcode::kAbs:
-        case Opcode::kSqrt:
-        case Opcode::kRsqrt:
-        case Opcode::kExp:
-        case Opcode::kLog:
-        case Opcode::kSin:
-        case Opcode::kCos:
-        case Opcode::kPow:
-        case Opcode::kFloor:
-        case Opcode::kCeil: {
-          const std::uint64_t* a = &w.regs[static_cast<std::size_t>(in.a) * 32];
-          const std::uint64_t* bb =
-              in.b == vir::kNoReg ? nullptr : &w.regs[static_cast<std::size_t>(in.b) * 32];
-          for_active(w, [&](int lane) {
-            dst[lane] = unary_fn(in.op, in.type, a[lane], bb ? bb[lane] : 0);
-          });
-          break;
-        }
-        case Opcode::kSetLt:
-        case Opcode::kSetLe:
-        case Opcode::kSetGt:
-        case Opcode::kSetGe:
-        case Opcode::kSetEq:
-        case Opcode::kSetNe: {
-          const std::uint64_t* a = &w.regs[static_cast<std::size_t>(in.a) * 32];
-          const std::uint64_t* bb = &w.regs[static_cast<std::size_t>(in.b) * 32];
-          bulk_compare(in.op, in.type, w.active, dst, a, bb);
-          break;
-        }
-        case Opcode::kPredAnd: {
-          const std::uint64_t* a = &w.regs[static_cast<std::size_t>(in.a) * 32];
-          const std::uint64_t* bb = &w.regs[static_cast<std::size_t>(in.b) * 32];
-          for_lanes(w.active, [&](int lane) { dst[lane] = (a[lane] & bb[lane]) & 1; });
-          break;
-        }
-        case Opcode::kPredOr: {
-          const std::uint64_t* a = &w.regs[static_cast<std::size_t>(in.a) * 32];
-          const std::uint64_t* bb = &w.regs[static_cast<std::size_t>(in.b) * 32];
-          for_lanes(w.active, [&](int lane) { dst[lane] = (a[lane] | bb[lane]) & 1; });
-          break;
-        }
-        case Opcode::kPredNot: {
-          const std::uint64_t* a = &w.regs[static_cast<std::size_t>(in.a) * 32];
-          for_lanes(w.active, [&](int lane) { dst[lane] = (~a[lane]) & 1; });
-          break;
-        }
-        case Opcode::kSelp: {
-          const std::uint64_t* a = &w.regs[static_cast<std::size_t>(in.a) * 32];
-          const std::uint64_t* bb = &w.regs[static_cast<std::size_t>(in.b) * 32];
-          const std::uint64_t* c = &w.regs[static_cast<std::size_t>(in.c) * 32];
-          for_lanes(w.active, [&](int lane) { dst[lane] = (c[lane] & 1) ? a[lane] : bb[lane]; });
-          break;
-        }
-        case Opcode::kCvt: {
-          const std::uint64_t* a = &w.regs[static_cast<std::size_t>(in.a) * 32];
-          const VType from = k_.vreg_types[in.a];
-          for_lanes(w.active, [&](int lane) { dst[lane] = convert(in.type, from, a[lane]); });
-          break;
-        }
-        case Opcode::kLdParam: {
-          const std::uint64_t v = params_[static_cast<std::size_t>(in.imm)];
-          if (full) {
-            for (int l = 0; l < 32; ++l) dst[l] = v;
-          } else {
-            for_active(w, [&](int lane) { dst[lane] = v; });
-          }
-          break;
-        }
-        case Opcode::kMovSpecial: {
-          const int code = static_cast<int>(in.imm);
-          const ResidentBlock& rb = blocks_[static_cast<std::size_t>(w.block_index)];
-          for_active(w, [&](int lane) {
-            dst[lane] = special_value(code, rb, cfg_, spec_, w.warp_in_block, lane);
-          });
-          break;
-        }
-        default:
-          break;  // terminators never appear inside a superblock
-      }
-    }
-  }
-
-  // -- functional helpers -----------------------------------------------------
-
-  template <typename Fn>
-  void for_active(Warp& w, Fn&& fn) {
-    for (int lane = 0; lane < 32; ++lane) {
-      if (w.active & (1u << lane)) fn(lane);
+      alu(w, k_.code[static_cast<std::size_t>(pc)]);
     }
   }
 
@@ -1237,19 +1385,65 @@ class SmSimulator {
     void sort() { std::sort(vals, vals + n); }
   };
 
-  /// Number of `memory_segment`-byte transactions the active lanes generate.
-  int count_transactions(Warp& w, std::uint32_t addr_reg, int access_bytes) {
-    DistinctSet segments;
-    const std::uint64_t seg = static_cast<std::uint64_t>(spec_.memory_segment);
-    for_active(w, [&](int lane) {
-      std::uint64_t addr = reg(w, addr_reg, lane);
-      segments.insert(addr / seg);
-      // An access straddling a segment boundary costs a second transaction.
-      if ((addr % seg) + static_cast<std::uint64_t>(access_bytes) > seg) {
-        segments.insert(addr / seg + 1);
+  /// Number of `memory_segment`-byte transactions the active lanes generate:
+  /// the distinct segments they touch, plus the next segment for an access
+  /// that straddles a boundary. Segment ids that arrive in non-decreasing
+  /// lane order (unit stride, broadcast, any rising pattern) are counted in
+  /// one pass by their value changes; any other order takes the exact
+  /// set-based count and is tallied as a coalescing fallback.
+  int count_transactions(const Warp& w, std::uint32_t addr_reg, int access_bytes) {
+    const std::uint64_t* ap = lanes(w, addr_reg);
+    const std::uint64_t seg = std::uint64_t{1} << seg_shift_;
+    const std::uint64_t bytes = static_cast<std::uint64_t>(access_bytes);
+    // An access straddling a segment boundary costs a second transaction.
+    auto straddles = [&](std::uint64_t addr) { return (addr & (seg - 1)) + bytes > seg; };
+    int count = 0;
+    std::uint64_t prev = 0;  // the largest segment id counted so far
+    std::uint32_t m = w.active;
+    for (; m != 0; m &= m - 1) {
+      const std::uint64_t addr = ap[std::countr_zero(m)];
+      const std::uint64_t id = addr >> seg_shift_;
+      if (count == 0 || id > prev) {
+        ++count;
+      } else if (id < prev) {
+        break;
       }
+      prev = id;
+      if (straddles(addr)) {
+        ++count;
+        prev = id + 1;
+      }
+    }
+    if (m == 0) return count;
+    ++coalesce_fallbacks_;
+    DistinctSet segments;
+    for_lanes(w.active, [&](int l) {
+      segments.insert(ap[l] >> seg_shift_);
+      if (straddles(ap[l])) segments.insert((ap[l] >> seg_shift_) + 1);
     });
     return segments.n;
+  }
+
+  /// The distinct read-only-cache lines the active lanes touch, in ascending
+  /// order — the probe order the cache's LRU state depends on. Rising lane
+  /// addresses already yield that order in one pass; anything else takes the
+  /// exact set-and-sort path and is tallied as a coalescing fallback.
+  void ro_lines(const Warp& w, std::uint32_t addr_reg, DistinctSet& lines) {
+    const std::uint64_t* ap = lanes(w, addr_reg);
+    std::uint32_t m = w.active;
+    for (; m != 0; m &= m - 1) {
+      const std::uint64_t id = ap[std::countr_zero(m)] >> line_shift_;
+      if (lines.n == 0 || id > lines.vals[lines.n - 1]) {
+        lines.vals[lines.n++] = id;
+      } else if (id < lines.vals[lines.n - 1]) {
+        break;
+      }
+    }
+    if (m == 0) return;
+    ++coalesce_fallbacks_;
+    lines.n = 0;
+    for_lanes(w.active, [&](int l) { lines.insert(ap[l] >> line_shift_); });
+    lines.sort();
   }
 
   std::uint64_t load_lane(std::uint64_t addr, VType t) {
@@ -1335,116 +1529,6 @@ class SmSimulator {
   void execute(Warp& w, const Instr& in, const DecodedInstr& d, int extra_latency) {
     const LatencyModel& lat = spec_.lat;
     switch (in.op) {
-      case Opcode::kMovImmI: {
-        std::uint64_t v = in.type == VType::kI32
-                              ? from_i32(static_cast<std::int32_t>(in.imm))
-                              : from_i64(in.imm);
-        for_active(w, [&](int lane) { reg(w, in.dst, lane) = v; });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      }
-      case Opcode::kMovImmF: {
-        std::uint64_t v = in.type == VType::kF32 ? from_f32(static_cast<float>(in.fimm))
-                                                 : from_f64(in.fimm);
-        for_active(w, [&](int lane) { reg(w, in.dst, lane) = v; });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      }
-      case Opcode::kMov:
-        for_active(w, [&](int lane) { reg(w, in.dst, lane) = reg(w, in.a, lane); });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      case Opcode::kAdd:
-      case Opcode::kSub:
-      case Opcode::kMul:
-      case Opcode::kDiv:
-      case Opcode::kRem:
-      case Opcode::kMin:
-      case Opcode::kMax: {
-        for_active(w, [&](int lane) {
-          reg(w, in.dst, lane) = arith(in.op, in.type, reg(w, in.a, lane), reg(w, in.b, lane));
-        });
-        set_result(w, in, static_cast<int>(d.exec_latency) + extra_latency);
-        return;
-      }
-      case Opcode::kNeg:
-      case Opcode::kAbs:
-        for_active(w, [&](int lane) {
-          reg(w, in.dst, lane) = unary_fn(in.op, in.type, reg(w, in.a, lane), 0);
-        });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      case Opcode::kSqrt:
-      case Opcode::kRsqrt:
-      case Opcode::kExp:
-      case Opcode::kLog:
-      case Opcode::kSin:
-      case Opcode::kCos:
-      case Opcode::kPow:
-      case Opcode::kFloor:
-      case Opcode::kCeil:
-        for_active(w, [&](int lane) {
-          reg(w, in.dst, lane) = unary_fn(in.op, in.type, reg(w, in.a, lane),
-                                          in.b == vir::kNoReg ? 0 : reg(w, in.b, lane));
-        });
-        set_result(w, in, static_cast<int>(d.exec_latency) + extra_latency);
-        return;
-      case Opcode::kSetLt:
-      case Opcode::kSetLe:
-      case Opcode::kSetGt:
-      case Opcode::kSetGe:
-      case Opcode::kSetEq:
-      case Opcode::kSetNe:
-        for_active(w, [&](int lane) {
-          reg(w, in.dst, lane) =
-              compare(in.op, in.type, reg(w, in.a, lane), reg(w, in.b, lane)) ? 1 : 0;
-        });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      case Opcode::kPredAnd:
-        for_active(w, [&](int lane) {
-          reg(w, in.dst, lane) = (reg(w, in.a, lane) & reg(w, in.b, lane)) & 1;
-        });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      case Opcode::kPredOr:
-        for_active(w, [&](int lane) {
-          reg(w, in.dst, lane) = (reg(w, in.a, lane) | reg(w, in.b, lane)) & 1;
-        });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      case Opcode::kPredNot:
-        for_active(w, [&](int lane) { reg(w, in.dst, lane) = (~reg(w, in.a, lane)) & 1; });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      case Opcode::kSelp:
-        for_active(w, [&](int lane) {
-          reg(w, in.dst, lane) =
-              (reg(w, in.c, lane) & 1) ? reg(w, in.a, lane) : reg(w, in.b, lane);
-        });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      case Opcode::kCvt:
-        for_active(w, [&](int lane) {
-          reg(w, in.dst, lane) = convert(in.type, k_.vreg_types[in.a], reg(w, in.a, lane));
-        });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      case Opcode::kLdParam: {
-        std::uint64_t v = params_[static_cast<std::size_t>(in.imm)];
-        for_active(w, [&](int lane) { reg(w, in.dst, lane) = v; });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      }
-      case Opcode::kMovSpecial: {
-        const int code = static_cast<int>(in.imm);
-        const ResidentBlock& rb = blocks_[static_cast<std::size_t>(w.block_index)];
-        for_active(w, [&](int lane) {
-          reg(w, in.dst, lane) = special_value(code, rb, cfg_, spec_, w.warp_in_block, lane);
-        });
-        set_result(w, in, lat.alu + extra_latency);
-        return;
-      }
       case Opcode::kLdGlobal: {
         const int bytes = vir::size_of(in.type);
         const int ntx = count_transactions(w, in.a, bytes);
@@ -1454,19 +1538,13 @@ class SmSimulator {
         if (in.flags & Instr::kFlagReadOnly) {
           // Probe the RO cache per line; hits bypass the memory pipeline,
           // misses queue on it like ordinary global traffic. Lines probe in
-          // ascending order — the iteration order the original std::set gave —
-          // because probe order feeds the cache's replacement state.
+          // ascending order because probe order feeds the cache's
+          // replacement state.
           int miss_lines = 0;
           DistinctSet lines;
-          for_active(w, [&](int lane) {
-            lines.insert(reg(w, in.a, lane) / static_cast<std::uint64_t>(spec_.ro_cache_line));
-          });
-          lines.sort();
+          ro_lines(w, in.a, lines);
           for (int li = 0; li < lines.n; ++li) {
-            if (!ro_cache_.access(lines.vals[li] *
-                                  static_cast<std::uint64_t>(spec_.ro_cache_line))) {
-              ++miss_lines;
-            }
+            if (!ro_cache_.access_line(lines.vals[li])) ++miss_lines;
           }
           stats_.ro_hits += ro_cache_.hits() - ro_hits_seen_;
           stats_.ro_misses += ro_cache_.misses() - ro_misses_seen_;
@@ -1503,11 +1581,11 @@ class SmSimulator {
         stats_.mem_transactions += static_cast<std::uint64_t>(ntx);
         std::int64_t wait = mem_occupy(2 * ntx);  // read-modify-write traffic
         // Lanes update sequentially (hardware serializes conflicting atomics).
-        for_active(w, [&](int lane) {
-          std::uint64_t addr = reg(w, in.a, lane);
-          std::uint64_t old_v = load_lane(addr, in.type);
-          std::uint64_t add_v = reg(w, in.b, lane);
-          store_lane(addr, in.type, arith(Opcode::kAdd, in.type, old_v, add_v));
+        const std::uint64_t* ap = lanes(w, in.a);
+        const std::uint64_t* vp = lanes(w, in.b);
+        for_lanes(w.active, [&](int l) {
+          const std::uint64_t old_v = load_lane(ap[l], in.type);
+          store_lane(ap[l], in.type, arith(Opcode::kAdd, in.type, old_v, vp[l]));
         });
         w.ready_cycle = cycle_ + wait + lat.atomic + extra_latency;
         if (prof_) w.wait_reason = kWaitMemory;
@@ -1519,9 +1597,10 @@ class SmSimulator {
         w.ready_cycle = cycle_ + 1;
         return;
       case Opcode::kCbr: {
+        const std::uint64_t* pp = lanes(w, in.a);
         std::uint32_t taken = 0;
-        for_active(w, [&](int lane) {
-          if (reg(w, in.a, lane) & 1) taken |= (1u << lane);
+        for_lanes(w.active, [&](int l) {
+          if (pp[l] & 1) taken |= (1u << l);
         });
         std::uint32_t fall = w.active & ~taken;
         const std::int32_t target = k_.target(static_cast<std::int32_t>(in.imm));
@@ -1551,12 +1630,12 @@ class SmSimulator {
         }
         return;
       }
-      case Opcode::kPhi:
-        // Phis exist only between SSA construction and destruction inside the
-        // pass pipeline; the allocator and simulator operate on phi-free code.
-        throw std::runtime_error("vgpu: phi instruction reached the simulator");
       case Opcode::kExit:
         w.finished = true;
+        return;
+      default:
+        alu(w, in);
+        set_result(w, in, d.exec_latency + extra_latency);
         return;
     }
   }
@@ -1575,17 +1654,24 @@ class SmSimulator {
   std::uint64_t ro_hits_seen_ = 0;
   std::uint64_t ro_misses_seen_ = 0;
   std::uint64_t superblock_retires_ = 0;
-
-  static constexpr std::int64_t kFinishedMirror = std::numeric_limits<std::int64_t>::max();
+  std::uint64_t coalesce_fallbacks_ = 0;
+  // log2 of the power-of-two coalescing segment and RO-cache line sizes.
+  unsigned seg_shift_;
+  unsigned line_shift_;
 
   const std::vector<std::int64_t>* pending_ = nullptr;  // run()'s block list, not copied
   std::size_t next_pending_ = 0;
   std::vector<ResidentBlock> blocks_;
   std::vector<std::unique_ptr<Warp>> warps_;
   std::vector<std::unique_ptr<Warp>> warp_pool_;  // retired warps, reused by admit_block
-  // ready_mirror_[i] mirrors warps_[i]->ready_cycle (kFinishedMirror once
-  // finished) so the per-cycle scheduler scan stays in contiguous memory.
-  std::vector<std::int64_t> ready_mirror_;
+  // Position sets of the warp scheduler (see "warp scheduling"); each
+  // bitset is words_ 64-bit words, one bit per resident position.
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> ready_;
+  std::vector<std::uint64_t> wheel_;  // kWheelSlots bitsets, slot-major
+  std::uint64_t busy_[kBusyWords] = {};
+  std::vector<std::uint64_t> far_;
+  std::int64_t far_min_ = std::numeric_limits<std::int64_t>::max();
   std::int64_t cycle_ = 0;
   std::int64_t mem_free_ = 0;
   // The pc step() last consumed an issue slot for (only maintained when
@@ -1642,6 +1728,7 @@ struct SmWork {
   obs::SmProfile prof;
   std::uint64_t cycles = 0;
   std::uint64_t sb_retires = 0;
+  std::uint64_t coalesce_fallbacks = 0;
 };
 
 /// The debug-mode guard for the SM-independence assumption: simulates the
@@ -1681,6 +1768,34 @@ bool sm_writes_disjoint(const Kernel& kernel, const DecodedKernel& dk,
     }
   }
   return true;
+}
+
+/// Rejects a DeviceSpec the simulator cannot model: lane masks are 32-bit,
+/// the coalescer and RO cache index by shifts, and the RO cache needs at
+/// least one set and one scheduler must issue.
+void validate_spec(const DeviceSpec& spec) {
+  auto reject = [](const char* field, const std::string& why, long long got) {
+    throw std::invalid_argument("vgpu::launch: DeviceSpec::" + std::string(field) + " " + why +
+                                " (got " + std::to_string(got) + ")");
+  };
+  auto pow2 = [](long long v) { return v > 0 && (v & (v - 1)) == 0; };
+  if (spec.num_sms < 1) reject("num_sms", "must be at least 1", spec.num_sms);
+  if (spec.warp_size != 32) reject("warp_size", "must be 32", spec.warp_size);
+  if (spec.schedulers_per_sm < 1) {
+    reject("schedulers_per_sm", "must be at least 1", spec.schedulers_per_sm);
+  }
+  if (!pow2(spec.memory_segment)) {
+    reject("memory_segment", "must be a power of two", spec.memory_segment);
+  }
+  if (!pow2(spec.ro_cache_line)) {
+    reject("ro_cache_line", "must be a power of two", spec.ro_cache_line);
+  }
+  if (spec.ro_cache_ways < 1) reject("ro_cache_ways", "must be at least 1", spec.ro_cache_ways);
+  if (static_cast<long long>(spec.ro_cache_bytes) <
+      static_cast<long long>(spec.ro_cache_line) * spec.ro_cache_ways) {
+    reject("ro_cache_bytes", "must hold at least one set of ro_cache_ways lines",
+           spec.ro_cache_bytes);
+  }
 }
 
 }  // namespace
@@ -1803,6 +1918,7 @@ LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc
                    const DeviceSpec& spec, DeviceMemory& mem,
                    const std::vector<std::uint64_t>& params, const LaunchConfig& cfg,
                    obs::Collector* collector, LaunchContext* ctx) {
+  validate_spec(spec);
   if (params.size() != kernel.params.size()) {
     throw std::runtime_error("launch: parameter count mismatch for kernel " + kernel.name);
   }
@@ -1901,6 +2017,7 @@ LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc
                     kprof ? &wk.prof : nullptr);
     wk.cycles = sim.run(wk.blocks, blocks_per_sm);
     wk.sb_retires = sim.superblock_retires();
+    wk.coalesce_fallbacks = sim.coalesce_fallbacks();
   };
   if (parallel) {
     support::ThreadPool::shared().parallel_for(
@@ -1913,9 +2030,10 @@ LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc
   // additive uint64 counter (cycles is a max), so the merged totals are
   // bit-identical to the seed's single shared accumulator for any thread
   // count, including 1.
-  // Superblock fast-path diagnostics live outside LaunchStats/SmProfile so
-  // both dispatch engines produce bit-identical stats and profiles.
+  // Superblock fast-path and coalescer diagnostics live outside
+  // LaunchStats/SmProfile: they describe host work, not simulated behavior.
   std::uint64_t sb_retires = 0;
+  std::uint64_t coalesce_fallbacks = 0;
   for (SmWork& wk : work) {
     stats.cycles = std::max(stats.cycles, wk.cycles);
     stats.warp_instructions += wk.stats.warp_instructions;
@@ -1929,6 +2047,7 @@ LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc
     stats.shared_accesses += wk.stats.shared_accesses;
     stats.shared_bank_conflicts += wk.stats.shared_bank_conflicts;
     sb_retires += wk.sb_retires;
+    coalesce_fallbacks += wk.coalesce_fallbacks;
     if (kprof) kprof->sms.push_back(std::move(wk.prof));
   }
 
@@ -1976,6 +2095,8 @@ LaunchStats launch(const Kernel& kernel, const regalloc::AllocationResult& alloc
                            static_cast<std::int64_t>(stats.shared_accesses));
     collector->metrics.add("sim.shared_bank_conflicts",
                            static_cast<std::int64_t>(stats.shared_bank_conflicts));
+    collector->metrics.add("sim.coalesce_fallbacks",
+                           static_cast<std::int64_t>(coalesce_fallbacks));
     if (parallel) collector->metrics.add("sim.parallel_launches");
     if (overlap_fallback) collector->metrics.add("sim.overlap_fallbacks");
     if (dispatch == SimDispatch::kSuper) {

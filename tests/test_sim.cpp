@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -393,6 +394,355 @@ void f(int n, const float *x, float *y) {
   auto s1 = run_kernel(unit, d1);
   auto s2 = run_kernel(scat, d2);
   EXPECT_GT(s2[0].cycles, s1[0].cycles * 3);
+}
+
+TEST(SimMemory, CoalesceFallbacksOnlyForOutOfOrderLanes) {
+  // Rising lane addresses are coalesced in one pass; a reversed gather whose
+  // lanes span several segments (and RO-cache lines) takes the exact
+  // set-based path, counted by sim.coalesce_fallbacks.
+  auto fallbacks = [](const char* src) {
+    Data data;
+    data.arrays.emplace("x", f32_array({{0, 8 * 512}}));
+    data.arrays.emplace("y", f32_array({{0, 512}}));
+    fill_pattern(data.array("x"), 9);
+    data.scalars.emplace("n", rt::ScalarValue::of_i32(512));
+    driver::Compiler compiler(driver::CompilerOptions::openuh_base());
+    auto prog = compiler.compile(src);
+    obs::Collector collector;
+    run_sim(prog, data, DeviceSpec::k20xm(), &collector);
+    const auto& counters = collector.metrics.counters();
+    EXPECT_TRUE(counters.count("sim.coalesce_fallbacks"));
+    return collector.metrics.counter("sim.coalesce_fallbacks");
+  };
+  EXPECT_EQ(fallbacks(R"(
+void f(int n, const float *x, float *y) {
+  #pragma acc parallel loop gang vector(128)
+  for (i = 0; i < n; i++) { y[i] = x[i] * 2.0f; }
+})"),
+            0);
+  EXPECT_GT(fallbacks(R"(
+void f(int n, const float *x, float *y) {
+  #pragma acc parallel loop gang vector(128)
+  for (i = 0; i < n; i++) { y[i] = x[8 * (n - 1 - i)] * 2.0f; }
+})"),
+            0);
+}
+
+TEST(SimFunctional, PhiIsRejectedByBothDispatchEngines) {
+  // A phi between two fusable moves lands inside a superblock; the bulk
+  // executor must refuse it exactly as the per-instruction path does.
+  vir::Kernel k;
+  k.name = "phi";
+  k.vreg_types = {vir::VType::kI32, vir::VType::kI32, vir::VType::kI32};
+  vir::Instr m0;
+  m0.op = vir::Opcode::kMovImmI;
+  m0.dst = 0;
+  vir::Instr m1 = m0;
+  m1.dst = 1;
+  vir::Instr phi;
+  phi.op = vir::Opcode::kPhi;
+  phi.dst = 2;
+  phi.a = 0;
+  phi.b = 1;
+  vir::Instr exit;
+  exit.op = vir::Opcode::kExit;
+  k.code = {m0, m1, phi, exit};
+  regalloc::AllocationResult alloc;
+  alloc.regs_used = 3;
+  alloc.spilled.assign(3, false);
+  vgpu::LaunchConfig cfg;
+  cfg.block[0] = 32;
+  for (vgpu::SimDispatch d : {vgpu::SimDispatch::kSuper, vgpu::SimDispatch::kRef}) {
+    SCOPED_TRACE(vgpu::to_string(d));
+    vgpu::set_sim_dispatch(d);
+    vgpu::DeviceMemory mem;
+    EXPECT_THROW(vgpu::launch(k, alloc, DeviceSpec::k20xm(), mem, {}, cfg), std::runtime_error);
+  }
+  vgpu::reset_sim_dispatch();
+}
+
+// -- DeviceSpec validation --------------------------------------------------------
+
+/// Launches a trivial kernel on `spec`; returns the invalid_argument message
+/// (empty when the launch is accepted).
+std::string launch_error(const DeviceSpec& spec) {
+  Data data;
+  data.arrays.emplace("y", f32_array({{0, 64}}));
+  data.scalars.emplace("n", rt::ScalarValue::of_i32(64));
+  driver::Compiler compiler(driver::CompilerOptions::openuh_base());
+  auto prog = compiler.compile(R"(
+void f(int n, float *y) {
+  #pragma acc parallel loop gang vector(64)
+  for (i = 0; i < n; i++) { y[i] = float(i); }
+})");
+  try {
+    run_sim(prog, data, spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SimSpecValidation, AcceptsK20xm) { EXPECT_EQ(launch_error(DeviceSpec::k20xm()), ""); }
+
+TEST(SimSpecValidation, RejectsNonWarp32) {
+  DeviceSpec spec = DeviceSpec::k20xm();
+  spec.warp_size = 64;
+  EXPECT_NE(launch_error(spec).find("warp_size"), std::string::npos);
+}
+
+TEST(SimSpecValidation, RejectsZeroSms) {
+  DeviceSpec spec = DeviceSpec::k20xm();
+  spec.num_sms = 0;
+  EXPECT_NE(launch_error(spec).find("num_sms"), std::string::npos);
+}
+
+TEST(SimSpecValidation, RejectsZeroSchedulers) {
+  DeviceSpec spec = DeviceSpec::k20xm();
+  spec.schedulers_per_sm = 0;
+  EXPECT_NE(launch_error(spec).find("schedulers_per_sm"), std::string::npos);
+}
+
+TEST(SimSpecValidation, RejectsNonPowerOfTwoSegment) {
+  DeviceSpec spec = DeviceSpec::k20xm();
+  spec.memory_segment = 96;
+  EXPECT_NE(launch_error(spec).find("memory_segment"), std::string::npos);
+}
+
+TEST(SimSpecValidation, RejectsNonPowerOfTwoCacheLine) {
+  DeviceSpec spec = DeviceSpec::k20xm();
+  spec.ro_cache_line = 100;
+  EXPECT_NE(launch_error(spec).find("ro_cache_line"), std::string::npos);
+}
+
+TEST(SimSpecValidation, RejectsZeroCacheWays) {
+  DeviceSpec spec = DeviceSpec::k20xm();
+  spec.ro_cache_ways = 0;
+  EXPECT_NE(launch_error(spec).find("ro_cache_ways"), std::string::npos);
+}
+
+TEST(SimSpecValidation, RejectsCacheSmallerThanOneSet) {
+  DeviceSpec spec = DeviceSpec::k20xm();
+  spec.ro_cache_bytes = spec.ro_cache_line * spec.ro_cache_ways - 1;
+  EXPECT_NE(launch_error(spec).find("ro_cache_bytes"), std::string::npos);
+}
+
+// -- scheduler / coalescer edge-case pins ----------------------------------------
+//
+// Exact LaunchStats, per-SM/per-pc profiles and output bits for shapes the
+// warp scheduler and the coalescer handle specially: more resident warps than
+// one 64-bit word, waits far beyond any short scheduling horizon, warps
+// retiring while others wait to issue, and lane addresses that fall instead
+// of rise. The pinned values were recorded with the scan-based scheduler and
+// the set-based coalescer that preceded the current implementation; both
+// dispatch engines must reproduce them.
+
+/// FNV-1a over a byte string: a compact fingerprint for a pinned document.
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct PinResult {
+  std::string stats;           // LaunchStats::to_json, compact
+  std::uint64_t profile = 0;   // fnv1a(Collector::sim_to_json)
+  std::uint64_t outputs = 0;   // fnv1a over every output array's bytes
+  std::uint64_t max_resident_warps = 0;
+};
+
+PinResult run_pinned(const char* src, Data data, const DeviceSpec& spec,
+                     vgpu::SimDispatch dispatch) {
+  struct DispatchReset {
+    ~DispatchReset() { vgpu::reset_sim_dispatch(); }
+  } reset;
+  vgpu::set_sim_dispatch(dispatch);
+  driver::Compiler compiler(driver::CompilerOptions::openuh_base());
+  auto prog = compiler.compile(src);
+  obs::Collector collector;
+  auto stats = run_sim(prog, data, spec, &collector);
+  PinResult r;
+  for (const vgpu::LaunchStats& s : stats) r.stats += s.to_json().dump();
+  r.profile = fnv1a(collector.sim_to_json().dump());
+  for (const obs::KernelSimProfile& kp : collector.sim_profiles) {
+    for (const obs::SmProfile& sm : kp.sms) {
+      r.max_resident_warps = std::max(r.max_resident_warps, sm.max_resident_warps);
+    }
+  }
+  std::string bytes;
+  for (const auto& [name, arr] : data.arrays) {
+    bytes.append(reinterpret_cast<const char*>(arr.data.data()), arr.data.size());
+  }
+  r.outputs = fnv1a(bytes);
+  return r;
+}
+
+void expect_pinned(const char* src, const Data& data, const DeviceSpec& spec,
+                   const std::string& stats, std::uint64_t profile, std::uint64_t outputs) {
+  for (vgpu::SimDispatch d : {vgpu::SimDispatch::kSuper, vgpu::SimDispatch::kRef}) {
+    SCOPED_TRACE(vgpu::to_string(d));
+    const PinResult r = run_pinned(src, data, spec, d);
+    EXPECT_EQ(r.stats, stats);
+    EXPECT_EQ(r.profile, profile) << "profile fingerprint 0x" << std::hex << r.profile;
+    EXPECT_EQ(r.outputs, outputs) << "output fingerprint 0x" << std::hex << r.outputs;
+  }
+}
+
+/// Per-lane trip counts and a strided gather keep warps waking at scattered
+/// cycles, so the ready set sees many distinct wake-up times.
+const char* kPinGatherLoop = R"(
+void f(int n, const int *len, const float *x, float *y) {
+  #pragma acc parallel loop gang vector(256)
+  for (i = 0; i < n; i++) {
+    float acc = 0.0f;
+    #pragma acc loop seq
+    for (t = 0; t < len[i]; t++) {
+      acc += x[(i * 7 + t * 131) % n];
+    }
+    y[i] = y[i] * 0.5f + acc;
+  }
+})";
+
+Data pin_gather_data(int n) {
+  Data data;
+  driver::HostArray len = driver::HostArray::make(ast::ScalarType::kI32, {{0, n}});
+  for (int i = 0; i < n; ++i) len.set_int(i, 2 + (i * 5) % 7);
+  data.arrays.emplace("len", std::move(len));
+  data.arrays.emplace("x", f32_array({{0, n}}));
+  data.arrays.emplace("y", f32_array({{0, n}}));
+  fill_pattern(data.array("x"), 11);
+  fill_pattern(data.array("y"), 12);
+  data.scalars.emplace("n", rt::ScalarValue::of_i32(n));
+  return data;
+}
+
+TEST(SimSchedulerPins, MoreThan64ResidentWarps) {
+  DeviceSpec spec = DeviceSpec::k20xm();
+  spec.num_sms = 2;
+  spec.max_warps_per_sm = 128;
+  spec.max_threads_per_sm = 4096;
+  spec.registers_per_sm = 4 * 65536;
+  const Data data = pin_gather_data(2 * 16 * 256 * 2);
+  // The shape really does keep more than one 64-bit word of warps resident.
+  EXPECT_GT(run_pinned(kPinGatherLoop, data, spec, vgpu::SimDispatch::kSuper).max_resident_warps,
+            64u);
+  expect_pinned(kPinGatherLoop, data, spec,
+      R"({"cycles":30785,"warp_instructions":78848,"mem_transactions":34155,)"
+      R"("global_loads":9216,"global_stores":512,"ro_hits":10803,)"
+      R"("ro_misses":22328,"atomics":0,"spill_accesses":0,"shared_accesses":0,)"
+      R"("shared_bank_conflicts":0,"regs_per_thread":26,"occupancy":1.0,)"
+      R"("occupancy_limiter":"warps"})",
+      0xee51f469d82bc8c8ull, 0xebf656d628299cefull);
+}
+
+TEST(SimSchedulerPins, WaitsBeyondSchedulingHorizon) {
+  DeviceSpec spec = DeviceSpec::k20xm();
+  spec.num_sms = 2;
+  spec.lat.global_base = 3000;
+  spec.lat.ro_cache_miss = 2600;
+  spec.lat.tx_cycles = 40;  // deep memory queues: waits grow without bound
+  expect_pinned(kPinGatherLoop, pin_gather_data(4096), spec,
+      R"({"cycles":17343,"warp_instructions":19712,"mem_transactions":8535,)"
+      R"("global_loads":2304,"global_stores":128,"ro_hits":7895,"ro_misses":384,)"
+      R"("atomics":0,"spill_accesses":0,"shared_accesses":0,)"
+      R"("shared_bank_conflicts":0,"regs_per_thread":26,"occupancy":1.0,)"
+      R"("occupancy_limiter":"registers"})",
+      0xe3c38961ab668e0full, 0x3d6a4148529385dbull);
+}
+
+TEST(SimSchedulerPins, StaggeredRetirementUnderContention) {
+  // Two launches. The first keeps more warps ready than the schedulers can
+  // issue (two independent ALU chains per warp, 64 warps per SM) while
+  // per-warp trip counts retire warps and admit blocks at scattered
+  // positions, so each retirement must shift ready, wheel and far positions
+  // exactly like the warp list. The second runs three one-warp blocks per
+  // SM through mixed load/ALU loops, so idle gaps are common and warps at
+  // different pcs often share the earliest ready cycle: the profile pins
+  // which of them the gap is charged to.
+  const char* src = R"(
+void f(int n, int m, const int *len, const float *x, float *y, float *z) {
+  #pragma acc parallel loop gang vector(128)
+  for (i = 0; i < n; i++) {
+    float a = y[i];
+    float b = 1.0f;
+    #pragma acc loop seq
+    for (t = 0; t < len[i]; t++) {
+      a = a * 1.0001f + 0.25f;
+      b = b * 0.999f + 0.5f;
+    }
+    y[i] = a + b;
+  }
+  #pragma acc parallel loop gang vector(32)
+  for (i = 0; i < m; i++) {
+    float c = 0.0f;
+    #pragma acc loop seq
+    for (t = 0; t < len[i * 37 % n]; t++) {
+      c = c * 0.5f + x[(i * 5 + t * 193) % n];
+    }
+    z[i] = c;
+  }
+})";
+  const int n = 2 * 16 * 128 * 2;
+  const int m = 2 * 3 * 32;
+  Data data;
+  driver::HostArray len = driver::HostArray::make(ast::ScalarType::kI32, {{0, n}});
+  for (int i = 0; i < n; ++i) len.set_int(i, 2 + ((i / 32) * 7) % 23);
+  data.arrays.emplace("len", std::move(len));
+  data.arrays.emplace("x", f32_array({{0, n}}));
+  data.arrays.emplace("y", f32_array({{0, n}}));
+  data.arrays.emplace("z", f32_array({{0, m}}));
+  fill_pattern(data.array("x"), 21);
+  fill_pattern(data.array("y"), 22);
+  data.scalars.emplace("n", rt::ScalarValue::of_i32(n));
+  data.scalars.emplace("m", rt::ScalarValue::of_i32(m));
+  DeviceSpec spec = DeviceSpec::k20xm();
+  spec.num_sms = 2;
+  expect_pinned(src, data, spec,
+      R"({"cycles":10739,"warp_instructions":43400,"mem_transactions":4084,)"
+      R"("global_loads":3828,"global_stores":256,"ro_hits":3316,"ro_misses":256,)"
+      R"("atomics":0,"spill_accesses":0,"shared_accesses":0,)"
+      R"("shared_bank_conflicts":0,"regs_per_thread":24,"occupancy":1.0,)"
+      R"("occupancy_limiter":"warps"})"  // second launch:
+      R"({"cycles":20020,"warp_instructions":2415,)"
+      R"("mem_transactions":3444,"global_loads":292,"global_stores":6,)"
+      R"("ro_hits":2936,"ro_misses":502,"atomics":0,"spill_accesses":0,)"
+      R"("shared_accesses":0,"shared_bank_conflicts":0,"regs_per_thread":26,)"
+      R"("occupancy":0.25,"occupancy_limiter":"blocks"})",
+      0x9ccf57d4f64ad1c5ull, 0x52250780b9eaa565ull);
+}
+
+TEST(SimSchedulerPins, DescendingLaneAddresses) {
+  // `a` is never written (RO-cache path); `y` is read and written (global
+  // path). Both are walked high-to-low, plus a falling 8-byte stride.
+  const char* src = R"(
+void f(int n, const float *a, double *d, float *y) {
+  #pragma acc parallel loop gang vector(96)
+  for (i = 0; i < n; i++) {
+    y[n - 1 - i] = y[n - 1 - i] * 0.5f + a[n - 1 - i] + a[(n - 1 - i) / 3];
+    d[2 * (n - 1 - i)] = d[2 * (n - 1 - i)] + 1.0;
+  }
+})";
+  const int n = 1000;  // not a multiple of the block: partial tail warps
+  Data data;
+  data.arrays.emplace("a", f32_array({{0, n}}));
+  data.arrays.emplace("d", f64_array({{0, 2 * n}}));
+  data.arrays.emplace("y", f32_array({{0, n}}));
+  fill_pattern(data.array("a"), 3);
+  fill_pattern(data.array("d"), 4);
+  fill_pattern(data.array("y"), 5);
+  data.scalars.emplace("n", rt::ScalarValue::of_i32(n));
+  DeviceSpec spec = DeviceSpec::k20xm();
+  spec.num_sms = 3;
+  expect_pinned(src, data, spec,
+      R"({"cycles":2264,"warp_instructions":1622,"mem_transactions":481,)"
+      R"("global_loads":128,"global_stores":64,"ro_hits":52,"ro_misses":53,)"
+      R"("atomics":0,"spill_accesses":0,"shared_accesses":0,)"
+      R"("shared_bank_conflicts":0,"regs_per_thread":26,"occupancy":0.75,)"
+      R"("occupancy_limiter":"blocks"})",
+      0x1df38c095a0d68b7ull, 0x28a917e259173576ull);
 }
 
 // -- parallel-simulation determinism ------------------------------------------
