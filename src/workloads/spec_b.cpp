@@ -310,13 +310,17 @@ void sp(int nx, int ny, int nz, float dt,
       }
     }
   }
-  // HOT3: single-array y-sweep (dim NA; read/write).
+  // HOT3: single-array y-sweep (dim NA; read/write). j is the sweep
+  // direction and runs sequentially: each u1[i][j][k] reads u1[i][j-1][k] and
+  // u1[i][j-2][k] as already updated by this sweep, so a parallel j loop would
+  // be a cross-iteration race whose result depends on block order. The
+  // independent (i, k) lines carry the parallelism instead.
   #pragma acc parallel loop gang small(u1)
-  for (j = 2; j < ny - 2; j++) {
+  for (k = 1; k < nz - 1; k++) {
     #pragma acc loop gang vector(64)
     for (i = 1; i < nx - 1; i++) {
       #pragma acc loop seq
-      for (k = 1; k < nz - 1; k++) {
+      for (j = 2; j < ny - 2; j++) {
         u1[i][j][k] = u1[i][j][k] - 0.1f * (u1[i][j-2][k] + u1[i][j+2][k])
                     + 0.05f * (u1[i][j-1][k] + u1[i][j+1][k]);
       }

@@ -825,6 +825,34 @@ TEST(SimDeterminism, AllWorkloadsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(SimDeterminism, NoWorkloadKernelWritesOverlapAcrossSms) {
+  // The parallel SM loop is only sound for kernels whose blocks write
+  // disjoint memory. Release builds leave the overlap checker off, so a racy
+  // workload would silently produce order-dependent checksums there; arm it
+  // explicitly and require that no paper workload ever trips it, under any
+  // of the Fig 11 configurations.
+  SimThreadGuard guard;
+  vgpu::set_sim_overlap_check(vgpu::OverlapCheckMode::kOn);
+  vgpu::set_sim_threads(4);
+  const std::pair<const char*, driver::CompilerOptions> configs[] = {
+      {"openuh_base", driver::CompilerOptions::openuh_base()},
+      {"openuh_safara", driver::CompilerOptions::openuh_safara()},
+      {"openuh_safara_clauses", driver::CompilerOptions::openuh_safara_clauses()},
+      {"pgi", driver::CompilerOptions::pgi_like()},
+  };
+  for (const workloads::Workload& w : workloads::all_workloads()) {
+    SCOPED_TRACE(w.name);
+    for (const auto& [config, opts] : configs) {
+      SCOPED_TRACE(config);
+      obs::Collector collector;
+      workloads::simulate(w, opts, vgpu::DeviceSpec::k20xm(), &collector);
+      const auto& counters = collector.metrics.counters();
+      EXPECT_EQ(counters.count("sim.overlap_fallbacks"), 0u)
+          << "a kernel's blocks write memory another SM reads or writes";
+    }
+  }
+}
+
 TEST(SimDeterminism, DecodeCacheReuseBitIdenticalAcrossThreadCounts) {
   // rt::Runtime keeps one vgpu::LaunchContext per kernel, so repeated
   // launches reuse the decoded side table and superblock partition instead
