@@ -5,12 +5,6 @@
 
 namespace safara::vir {
 
-namespace {
-
-/// Like liveness.cpp's build_cfg, but every label position is also a block
-/// leader, so no instruction range spans a point the SIMT interpreter can
-/// transfer control to. Blocks are never empty: each leader is a real
-/// instruction index and a block runs to the next leader.
 std::vector<BasicBlock> build_label_blocks(const Kernel& k) {
   const std::int32_t n = static_cast<std::int32_t>(k.code.size());
   std::vector<char> leader(static_cast<std::size_t>(n), 0);
@@ -38,6 +32,8 @@ std::vector<BasicBlock> build_label_blocks(const Kernel& k) {
   }
   return blocks;
 }
+
+namespace {
 
 /// Drops the instructions marked in `dead` and remaps the label table
 /// (labels store instruction indices; branch operands store label ids and
@@ -167,13 +163,13 @@ Cfg build_dominator_cfg(const Kernel& k) {
   cfg.dom_frontier.assign(nb, {});
   if (nb == 0) return cfg;
 
+  // One flat bitset row per block: row b is the set of b's dominators.
   const std::size_t words = (nb + 63) / 64;
-  auto bit_get = [&](const std::vector<std::uint64_t>& bs, std::size_t i) {
-    return (bs[i / 64] >> (i % 64)) & 1;
-  };
-  std::vector<std::vector<std::uint64_t>> dom(nb, std::vector<std::uint64_t>(words, ~0ull));
-  dom[0].assign(words, 0);
-  dom[0][0] = 1;
+  std::vector<std::uint64_t> dom(nb * words, ~0ull);
+  auto row = [&](std::size_t b) { return dom.data() + b * words; };
+  auto bit_get = [&](std::size_t b, std::size_t i) { return (row(b)[i / 64] >> (i % 64)) & 1; };
+  std::fill(row(0), row(0) + words, 0);
+  row(0)[0] = 1;
   std::vector<std::uint64_t> next(words);
   bool changed = true;
   while (changed) {
@@ -185,31 +181,24 @@ Cfg build_dominator_cfg(const Kernel& k) {
       for (std::int32_t p : cfg.preds[b]) {
         if (!cfg.reachable[static_cast<std::size_t>(p)]) continue;
         any_pred = true;
-        for (std::size_t w = 0; w < words; ++w) next[w] &= dom[static_cast<std::size_t>(p)][w];
+        const std::uint64_t* const pd = row(static_cast<std::size_t>(p));
+        for (std::size_t w = 0; w < words; ++w) next[w] &= pd[w];
       }
       if (!any_pred) std::fill(next.begin(), next.end(), 0);
       next[b / 64] |= std::uint64_t{1} << (b % 64);
-      if (next != dom[b]) {
-        dom[b].assign(next.begin(), next.end());
+      if (!std::equal(next.begin(), next.end(), row(b))) {
+        std::copy(next.begin(), next.end(), row(b));
         changed = true;
       }
     }
   }
 
-  auto popcount = [&](const std::vector<std::uint64_t>& bs) {
-    int c = 0;
-    for (std::uint64_t w : bs) {
-      while (w) {
-        w &= w - 1;
-        ++c;
-      }
-    }
-    return c;
-  };
   // Dominator-set sizes, computed once: the idom scan below reads them
   // O(nb^2) times and the sets are frozen at this point.
   std::vector<int> dom_size(nb, 0);
-  for (std::size_t d = 0; d < nb; ++d) dom_size[d] = popcount(dom[d]);
+  for (std::size_t d = 0; d < nb; ++d) {
+    for (std::size_t w = 0; w < words; ++w) dom_size[d] += __builtin_popcountll(row(d)[w]);
+  }
 
   // idom(b) is the strict dominator with the largest dominator set.
   for (std::size_t b = 1; b < nb; ++b) {
@@ -217,7 +206,7 @@ Cfg build_dominator_cfg(const Kernel& k) {
     std::int32_t idom = -1;
     int best = -1;
     for (std::size_t d = 0; d < nb; ++d) {
-      if (d == b || !bit_get(dom[b], d)) continue;
+      if (d == b || !bit_get(b, d)) continue;
       const int size = dom_size[d];
       if (size > best) {
         best = size;
@@ -257,51 +246,47 @@ Cfg build_dominator_cfg(const Kernel& k) {
 
 BlockLiveness compute_block_liveness(const Kernel& k,
                                      const std::vector<BasicBlock>& blocks) {
-  const std::uint32_t nregs = k.num_vregs();
   const std::size_t nblocks = blocks.size();
   BlockLiveness lv;
-  lv.words = (nregs + 63) / 64;
+  lv.words = (k.num_vregs() + 63) / 64;
   const std::size_t words = lv.words;
 
-  auto bit_get = [&](const std::vector<std::uint64_t>& bs, std::uint32_t r) {
-    return (bs[r / 64] >> (r % 64)) & 1;
-  };
-  auto bit_set = [&](std::vector<std::uint64_t>& bs, std::uint32_t r) {
-    bs[r / 64] |= std::uint64_t{1} << (r % 64);
-  };
-
-  std::vector<std::vector<std::uint64_t>> use(nblocks), def(nblocks);
-  lv.live_in.assign(nblocks, std::vector<std::uint64_t>(words, 0));
-  lv.live_out.assign(nblocks, std::vector<std::uint64_t>(words, 0));
+  // Per-block upward-exposed uses and defs, one flat bitset row per block.
+  std::vector<std::uint64_t> use(nblocks * words, 0), def(nblocks * words, 0);
   for (std::size_t b = 0; b < nblocks; ++b) {
-    use[b].assign(words, 0);
-    def[b].assign(words, 0);
+    std::uint64_t* const ub = use.data() + b * words;
+    std::uint64_t* const db = def.data() + b * words;
     for (std::int32_t i = blocks[b].begin; i < blocks[b].end; ++i) {
       const Instr& in = k.code[i];
       for_each_use(in, [&](std::uint32_t r) {
-        if (!bit_get(def[b], r)) bit_set(use[b], r);
+        if (!((db[r / 64] >> (r % 64)) & 1)) ub[r / 64] |= std::uint64_t{1} << (r % 64);
       });
-      if (has_dst(in.op) && in.dst != kNoReg) bit_set(def[b], in.dst);
+      if (has_dst(in.op) && in.dst != kNoReg) {
+        db[in.dst / 64] |= std::uint64_t{1} << (in.dst % 64);
+      }
     }
   }
 
-  std::vector<std::uint64_t> out(words), in_set(words);
+  // Iterate to fixpoint (reverse order converges fast on reducible CFGs).
+  lv.live_in_bits.assign(nblocks * words, 0);
+  lv.live_out_bits.assign(nblocks * words, 0);
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t bi = nblocks; bi-- > 0;) {
-      std::fill(out.begin(), out.end(), 0);
-      for (std::int32_t s : blocks[bi].succs) {
-        const std::vector<std::uint64_t>& sin = lv.live_in[static_cast<std::size_t>(s)];
-        for (std::size_t w = 0; w < words; ++w) out[w] |= sin[w];
-      }
+      std::uint64_t* const out = lv.live_out_bits.data() + bi * words;
+      std::uint64_t* const in = lv.live_in_bits.data() + bi * words;
+      const std::uint64_t* const ub = use.data() + bi * words;
+      const std::uint64_t* const db = def.data() + bi * words;
       for (std::size_t w = 0; w < words; ++w) {
-        in_set[w] = use[bi][w] | (out[w] & ~def[bi][w]);
-      }
-      if (in_set != lv.live_in[bi] || out != lv.live_out[bi]) {
-        changed = true;
-        lv.live_in[bi].assign(in_set.begin(), in_set.end());
-        lv.live_out[bi].assign(out.begin(), out.end());
+        std::uint64_t o = 0;
+        for (std::int32_t s : blocks[bi].succs) o |= lv.live_in(static_cast<std::size_t>(s))[w];
+        const std::uint64_t i = ub[w] | (o & ~db[w]);
+        if (o != out[w] || i != in[w]) {
+          out[w] = o;
+          in[w] = i;
+          changed = true;
+        }
       }
     }
   }

@@ -33,24 +33,37 @@ struct Cfg {
   std::vector<std::int32_t> block_of;
 };
 
-/// Builds blocks (labels-as-leaders), predecessor lists, reachability, the
+/// The pass pipeline's block partition: like liveness.cpp's build_cfg, but
+/// every label position is also a block leader, so no instruction range
+/// spans a point the SIMT interpreter can transfer control to. Blocks are
+/// never empty; `succs` is left unfilled.
+std::vector<BasicBlock> build_label_blocks(const Kernel& k);
+
+/// Builds blocks (build_label_blocks), predecessor lists, reachability, the
 /// dominator tree (iterative bitset dataflow — the CFGs are tiny), and
 /// dominance frontiers.
 Cfg build_dominator_cfg(const Kernel& k);
 
-/// Per-block liveness bitsets over an arbitrary block partition; the backward
-/// dataflow underlying compute_live_intervals, exposed so SSA pruning and the
-/// coloring allocator can share it.
+/// Per-block liveness bitsets over an arbitrary block partition: the one
+/// backward dataflow behind compute_live_ranges (linear scan, peak pressure),
+/// SSA pruning and the coloring allocator.
 struct BlockLiveness {
   std::size_t words = 0;  // 64-bit words per bitset
-  std::vector<std::vector<std::uint64_t>> live_in;
-  std::vector<std::vector<std::uint64_t>> live_out;
+  /// Block b's live-in (live-out) set is words [b * words, (b + 1) * words).
+  std::vector<std::uint64_t> live_in_bits;
+  std::vector<std::uint64_t> live_out_bits;
 
+  const std::uint64_t* live_in(std::size_t block) const {
+    return live_in_bits.data() + block * words;
+  }
+  const std::uint64_t* live_out(std::size_t block) const {
+    return live_out_bits.data() + block * words;
+  }
   bool live_in_at(std::size_t block, std::uint32_t vreg) const {
-    return (live_in[block][vreg / 64] >> (vreg % 64)) & 1;
+    return (live_in(block)[vreg / 64] >> (vreg % 64)) & 1;
   }
   bool live_out_at(std::size_t block, std::uint32_t vreg) const {
-    return (live_out[block][vreg / 64] >> (vreg % 64)) & 1;
+    return (live_out(block)[vreg / 64] >> (vreg % 64)) & 1;
   }
 };
 

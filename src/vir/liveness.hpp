@@ -26,9 +26,16 @@ struct LiveInterval {
   std::int32_t end = 0;
 };
 
-/// Classic backward-dataflow liveness, then one hole-free interval per vreg
-/// (registers live across a backedge span the whole loop). Never-used vregs
-/// get no interval.
+/// Per vreg, the first and last instruction index of its hole-free live range
+/// (compute_block_liveness over build_cfg's blocks; registers live across a
+/// backedge span the whole loop). Both are -1 for a vreg nothing references.
+struct LiveRanges {
+  std::vector<std::int32_t> start;
+  std::vector<std::int32_t> end;
+};
+LiveRanges compute_live_ranges(const Kernel& k);
+
+/// compute_live_ranges as one interval per referenced vreg, sorted by start.
 std::vector<LiveInterval> compute_live_intervals(const Kernel& k);
 
 /// Invokes `fn(vreg)` for every register the instruction reads.

@@ -1,8 +1,8 @@
 #include "vir/passes/passes.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "vir/cfg.hpp"
@@ -44,13 +44,13 @@ void apply_repl(Instr& in, const std::vector<std::uint32_t>& repl) {
 
 int max_live_pressure(const Kernel& k) {
   if (k.code.empty()) return 0;
-  const std::vector<LiveInterval> intervals = compute_live_intervals(k);
-  std::vector<int> delta(k.code.size() + 2, 0);
-  for (const LiveInterval& iv : intervals) {
-    const int w = registers_of(k.vreg_types[iv.vreg]);
-    if (w == 0) continue;  // predicates live in their own file
-    delta[static_cast<std::size_t>(iv.start)] += w;
-    delta[static_cast<std::size_t>(iv.end) + 1] -= w;
+  const LiveRanges lr = compute_live_ranges(k);
+  std::vector<int> delta(k.code.size() + 1, 0);
+  for (std::uint32_t r = 0; r < k.num_vregs(); ++r) {
+    const int w = registers_of(k.vreg_types[r]);
+    if (w == 0 || lr.start[r] < 0) continue;  // predicates live in their own file
+    delta[static_cast<std::size_t>(lr.start[r])] += w;
+    delta[static_cast<std::size_t>(lr.end[r]) + 1] -= w;
   }
   int cur = 0, peak = 0;
   for (int d : delta) {
@@ -96,16 +96,54 @@ struct GvnKey {
   bool operator==(const GvnKey&) const = default;
 };
 
-struct GvnKeyHash {
-  std::size_t operator()(const GvnKey& k) const {
-    std::uint64_t h = (std::uint64_t(k.op) << 24) | (std::uint64_t(k.type) << 16) |
-                      (std::uint64_t(k.dst_type) << 8) | k.flags;
-    for (std::uint64_t v : {std::uint64_t(k.a) << 32 | k.b, std::uint64_t(k.c),
-                            static_cast<std::uint64_t>(k.imm), k.fimm_bits}) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return static_cast<std::size_t>(h);
+std::uint64_t gvn_hash(const GvnKey& k) {
+  std::uint64_t h = (std::uint64_t(k.op) << 24) | (std::uint64_t(k.type) << 16) |
+                    (std::uint64_t(k.dst_type) << 8) | k.flags;
+  for (std::uint64_t v : {std::uint64_t(k.a) << 32 | k.b, std::uint64_t(k.c),
+                          static_cast<std::uint64_t>(k.imm), k.fimm_bits}) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   }
+  return h;
+}
+
+/// GVN's scoped value table: open addressing with linear probing, sized once
+/// for every instruction of the kernel, so a walk allocates nothing per
+/// entry. Entries are only ever undone newest-first (the dominator walk
+/// drops a block's entries when it leaves the block), and undoing the newest
+/// insertion of a linear-probing table is just clearing its slot.
+class GvnTable {
+ public:
+  explicit GvnTable(std::size_t entries) {
+    while ((std::size_t{1} << bits_) < 2 * entries + 1) ++bits_;
+    slots_.resize(std::size_t{1} << bits_);
+  }
+
+  /// The leader already recorded for `key`, or kNoReg after recording
+  /// `dst` as its leader.
+  std::uint32_t find_or_insert(const GvnKey& key, std::uint32_t dst) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>((gvn_hash(key) * 0x9e3779b97f4a7c15ULL) >>
+                                             (64 - bits_));
+    for (; slots_[i].leader != kNoReg; i = (i + 1) & mask) {
+      if (slots_[i].key == key) return slots_[i].leader;
+    }
+    slots_[i] = {key, dst};
+    undo_.push_back(i);
+    return kNoReg;
+  }
+  std::size_t mark() const { return undo_.size(); }
+  void undo_to(std::size_t mark) {
+    for (; undo_.size() > mark; undo_.pop_back()) slots_[undo_.back()].leader = kNoReg;
+  }
+
+ private:
+  struct Slot {
+    GvnKey key{};
+    std::uint32_t leader = kNoReg;
+  };
+  int bits_ = 4;
+  std::vector<Slot> slots_;
+  std::vector<std::size_t> undo_;
 };
 
 GvnKey make_gvn_key(const Instr& in, const Kernel& k) {
@@ -128,12 +166,26 @@ GvnKey make_gvn_key(const Instr& in, const Kernel& k) {
           fbits};
 }
 
-}  // namespace
+/// The peak live pressure of the kernel a pass sequence is working on,
+/// measured on demand and at most once per kernel state. A pass that changes
+/// the kernel records the new state's pressure if it measured it (GVN and
+/// scheduling must) and otherwise clears it.
+struct PressureMemo {
+  int known = -1;  // peak pressure of the current kernel; -1: not measured
+  int evals = 0;   // max_live_pressure calls made
 
-int run_gvn(Kernel& k) {
+  int measure(const Kernel& k) {
+    ++evals;
+    return max_live_pressure(k);
+  }
+  int of(const Kernel& k) {
+    if (known < 0) known = measure(k);
+    return known;
+  }
+};
+
+int gvn(Kernel& k, PressureMemo& pressure) {
   if (k.code.empty()) return 0;
-  const Kernel snapshot = k;
-  const int pressure_before = max_live_pressure(k);
   const std::vector<int> defs = def_counts(k);
   const Cfg cfg = build_dominator_cfg(k);
 
@@ -143,9 +195,10 @@ int run_gvn(Kernel& k) {
   std::vector<char> dead(k.code.size(), 0);
   // One scoped table over a preorder walk of the dominator tree: a block's
   // entries stay visible to the blocks it dominates and are undone when the
-  // walk leaves it, so a hit always has a dominating def.
-  std::unordered_map<GvnKey, std::uint32_t, GvnKeyHash> table;
-  std::vector<GvnKey> undo;
+  // walk leaves it, so a hit always has a dominating def. The walk reads
+  // operands through `repl` without writing them back, so a walk without
+  // hits leaves the kernel untouched.
+  GvnTable table(k.code.size());
   std::vector<std::size_t> undo_mark(cfg.blocks.size(), 0);
   std::vector<std::pair<std::int32_t, bool>> stack = {{0, false}};  // (block, leaving)
   while (!stack.empty()) {
@@ -153,12 +206,12 @@ int run_gvn(Kernel& k) {
     stack.pop_back();
     const std::size_t bi = static_cast<std::size_t>(b);
     if (leaving) {
-      for (; undo.size() > undo_mark[bi]; undo.pop_back()) table.erase(undo.back());
+      table.undo_to(undo_mark[bi]);
       continue;
     }
-    undo_mark[bi] = undo.size();
+    undo_mark[bi] = table.mark();
     for (std::int32_t i = cfg.blocks[bi].begin; i < cfg.blocks[bi].end; ++i) {
-      Instr& in = k.code[static_cast<std::size_t>(i)];
+      Instr in = k.code[static_cast<std::size_t>(i)];
       apply_repl(in, repl);
       // Phis are pure but their value depends on the edge taken, not on
       // their operand tuple — never number them.
@@ -170,12 +223,9 @@ int run_gvn(Kernel& k) {
         if (defs[r] != 1) stable = false;
       });
       if (!stable) continue;
-      const GvnKey key = make_gvn_key(in, k);
-      auto [it, inserted] = table.try_emplace(key, in.dst);
-      if (inserted) {
-        undo.push_back(key);
-      } else {
-        repl[in.dst] = it->second;
+      const std::uint32_t leader = table.find_or_insert(make_gvn_key(in, k), in.dst);
+      if (leader != kNoReg) {
+        repl[in.dst] = leader;
         dead[static_cast<std::size_t>(i)] = 1;
         ++hits;
       }
@@ -185,19 +235,34 @@ int run_gvn(Kernel& k) {
   }
 
   if (hits == 0) return 0;
-  // Uses the walk reached before their leader's hit (phi operands on back
-  // edges, blocks outside the dominator tree) are redirected here.
+  const int pressure_before = pressure.of(k);
+  // Redirecting operands and deleting touch only the code and the labels.
+  std::vector<Instr> code_before = k.code;
+  std::vector<std::int32_t> labels_before = k.labels;
+  // Every use is redirected here, including those the walk reached before
+  // their leader's hit (phi operands on back edges, blocks outside the
+  // dominator tree).
   for (Instr& in : k.code) apply_repl(in, repl);
   remove_dead(k, dead);
   // Merging computations can lengthen the surviving value's live range (an
   // immediate re-materialized per block is cheaper than one register pinned
   // across the loop). The pipeline's contract is pressure-monotone, so any
   // net loss reverts the whole pass.
-  if (max_live_pressure(k) > pressure_before) {
-    k = snapshot;
+  const int pressure_after = pressure.measure(k);
+  if (pressure_after > pressure_before) {
+    k.code = std::move(code_before);
+    k.labels = std::move(labels_before);
     return 0;
   }
+  pressure.known = pressure_after;
   return hits;
+}
+
+}  // namespace
+
+int run_gvn(Kernel& k) {
+  PressureMemo pressure;
+  return gvn(k, pressure);
 }
 
 int run_dce(Kernel& k) {
@@ -332,14 +397,17 @@ int run_strength_reduction(Kernel& k) {
   return reduced;
 }
 
-int run_pressure_scheduling(Kernel& k) {
-  if (k.code.empty()) return 0;
-  const Kernel snapshot = k;
-  const int pressure_before = max_live_pressure(k);
-  const std::vector<int> defs = def_counts(k);
-  const std::vector<BasicBlock> blocks = build_dominator_cfg(k).blocks;
+namespace {
 
-  int moves = 0;
+int pressure_scheduling(Kernel& k, PressureMemo& pressure) {
+  if (k.code.empty()) return 0;
+  const std::vector<int> defs = def_counts(k);
+  const std::vector<BasicBlock> blocks = build_label_blocks(k);
+
+  // The kernel is untouched until the first move, so that is where its
+  // pressure is read and its code saved (moves touch nothing else).
+  int moves = 0, pressure_before = 0;
+  std::vector<Instr> code_before;
   for (const BasicBlock& bb : blocks) {
     // Bottom-up so a sunk producer's consumer has already reached its final
     // slot; sinking moves instructions later only, which keeps the positions
@@ -362,9 +430,12 @@ int run_pressure_scheduling(Kernel& k) {
         });
       }
       if (first_use <= i + 1) continue;  // already adjacent, or no in-block use
+      if (moves++ == 0) {
+        pressure_before = pressure.of(k);
+        code_before = k.code;
+      }
       std::rotate(k.code.begin() + i, k.code.begin() + i + 1,
                   k.code.begin() + first_use);
-      ++moves;
     }
   }
 
@@ -372,78 +443,135 @@ int run_pressure_scheduling(Kernel& k) {
   // Strict gate: adjacency between a producer and its consumer costs issue
   // stalls in the scoreboarded SM model, so reordering is only worth keeping
   // when it actually lowers the peak — pressure-neutral shuffles revert.
-  if (max_live_pressure(k) >= pressure_before) {
-    k = snapshot;
+  const int pressure_after = pressure.measure(k);
+  if (pressure_after >= pressure_before) {
+    k.code = std::move(code_before);
     return 0;
   }
+  pressure.known = pressure_after;
   return moves;
 }
+
+}  // namespace
+
+int run_pressure_scheduling(Kernel& k) {
+  PressureMemo pressure;
+  return pressure_scheduling(k, pressure);
+}
+
+namespace {
+
+enum PassId { kCopyProp, kDce, kStrength, kGvn, kSched, kNumPasses };
+
+/// The passes of one pipeline region and what the region knows about the
+/// kernel states it has produced. Every pass is a deterministic function of
+/// the kernel, so a pass that found nothing to do on one state finds nothing
+/// again on the same state — a GVN or scheduling result reverted for raising
+/// pressure included. The region numbers the states (`version` advances
+/// whenever a pass changes the kernel) and skips those reruns, which makes
+/// the fixpoint's confirming round and every pressure-reverted retry free.
+struct Region {
+  explicit Region(Kernel& kernel) : k(kernel) {}
+
+  Kernel& k;
+  PressureMemo pressure;
+  int version = 0;
+  // Per pass, the state it last found nothing to do on (-1: none yet).
+  std::array<int, kNumPasses> idle_at{-1, -1, -1, -1, -1};
+
+  int run(PassId id) {
+    if (idle_at[id] == version) return 0;
+    int work = 0;
+    switch (id) {
+      case kCopyProp: work = run_copy_propagation(k); break;
+      case kDce: work = run_dce(k); break;
+      case kStrength: work = run_strength_reduction(k); break;
+      case kGvn: work = gvn(k, pressure); break;
+      case kSched: work = pressure_scheduling(k, pressure); break;
+      case kNumPasses: break;
+    }
+    if (work == 0) {
+      idle_at[id] = version;
+      return 0;
+    }
+    ++version;
+    if (id != kGvn && id != kSched) pressure.known = -1;
+    return work;
+  }
+};
+
+}  // namespace
 
 PassStats run_pipeline(Kernel& k, int opt_level) {
   PassStats s;
   s.pressure_before = max_live_pressure(k);
   s.pressure_after = s.pressure_before;
+  s.liveness_evals = 1;
   if (opt_level <= 0) return s;
 
-  // Each iteration: SSA in, passes, SSA out. An iteration is kept only when
-  // it performed counted optimization work, strictly shrank the kernel, and
-  // did not raise peak pressure — otherwise it is reverted wholesale and the
-  // loop stops. The strict-shrink rule bounds the loop by the kernel size
-  // and makes the pipeline a fixpoint: re-running it repeats the final
-  // (reverted) iteration deterministically and reverts it again, so the
-  // second run is byte-identical and reports zero work.
-  bool first_round = true;
-  while (true) {
-    const Kernel snapshot = k;
-    const int pressure_in = max_live_pressure(k);
-    const ssa::ConstructStats cs = ssa::construct(k);
-    if (first_round) {
-      s.phi_count = cs.phis;
-      s.ssa_bailouts = !cs.converted && !snapshot.code.empty() ? 1 : 0;
-    }
+  // One SSA region: construct once, run the passes inside SSA form until a
+  // round changes nothing, destruct once, then keep the result only if the
+  // passes did counted work, strictly shrank the kernel and did not raise
+  // peak pressure; otherwise revert to the one snapshot. A kernel SSA
+  // construction leaves in multi-def form runs the same fixpoint under the
+  // same check. Re-running the pipeline on its own output finds no work and
+  // reverts (VirPasses.PipelineIsAFixpoint pins this on every workload).
+  Kernel snapshot = k;
+  const ssa::ConstructStats cs = ssa::construct(k);
+  s.phi_count = cs.phis;
+  s.ssa_bailouts = !cs.converted && !snapshot.code.empty() ? 1 : 0;
+  Region region{k};
+  // A bailed construction leaves the kernel as it was.
+  if (!cs.converted) region.pressure.known = s.pressure_before;
 
-    PassStats it;
-    it.copyprop_removed += run_copy_propagation(k);
-    it.dce_removed += run_dce(k);
+  PassStats w;
+  for (int round_start = -1; round_start != region.version;) {
+    round_start = region.version;
+    ++s.ssa_rounds;
+    w.copyprop_removed += region.run(kCopyProp);
+    w.dce_removed += region.run(kDce);
     if (opt_level >= 2) {
-      it.strength_reduced = run_strength_reduction(k);
+      w.strength_reduced += region.run(kStrength);
       // Strength reduction mints movs; fold them before value numbering so
       // GVN sees canonical operands.
-      it.copyprop_removed += run_copy_propagation(k);
-      it.gvn_hits = run_gvn(k);
-      it.dce_removed += run_dce(k);
-      it.sched_moves = run_pressure_scheduling(k);
+      w.copyprop_removed += region.run(kCopyProp);
+      w.gvn_hits += region.run(kGvn);
+      w.dce_removed += region.run(kDce);
+      w.sched_moves += region.run(kSched);
     }
-    const int counted = it.copyprop_removed + it.gvn_hits + it.dce_removed +
-                        it.strength_reduced + it.sched_moves;
-    if (counted == 0) {
-      k = snapshot;
-      break;
-    }
-    ssa::DestructStats ds;
-    if (cs.converted) ds = ssa::destruct(k);
-    if (!ds.ok) {
-      ++s.ssa_destruct_reverts;
-      k = snapshot;
-      break;
-    }
+  }
+  s.liveness_evals += region.pressure.evals;
+
+  bool keep = region.version > 0;  // any counted work at all
+  ssa::DestructStats ds;
+  if (keep && cs.converted) {
+    ds = ssa::destruct(k);
+    s.ssa_destruct_reverts = ds.ok ? 0 : 1;
+    keep = ds.ok;
+  }
+  if (keep) {
     // With the phis gone, the branches that kept emptied blocks alive are
     // plain fall-throughs.
     remove_fallthrough_branches(k);
-    if (k.code.size() >= snapshot.code.size() || max_live_pressure(k) > pressure_in) {
-      k = snapshot;
-      break;
-    }
-    s.copyprop_removed += it.copyprop_removed;
-    s.gvn_hits += it.gvn_hits;
-    s.dce_removed += it.dce_removed;
-    s.strength_reduced += it.strength_reduced;
-    s.sched_moves += it.sched_moves;
-    s.ssa_copies_folded += cs.copies_folded;
-    s.phi_copies_coalesced += ds.coalesced;
-    first_round = false;
+    keep = k.code.size() < snapshot.code.size();
   }
-  s.pressure_after = max_live_pressure(k);
+  if (keep) {
+    ++s.liveness_evals;
+    s.pressure_after = max_live_pressure(k);
+    keep = s.pressure_after <= s.pressure_before;
+  }
+  if (!keep) {
+    k = std::move(snapshot);
+    s.pressure_after = s.pressure_before;
+    return s;
+  }
+  s.copyprop_removed = w.copyprop_removed;
+  s.gvn_hits = w.gvn_hits;
+  s.dce_removed = w.dce_removed;
+  s.strength_reduced = w.strength_reduced;
+  s.sched_moves = w.sched_moves;
+  s.ssa_copies_folded = cs.copies_folded;
+  s.phi_copies_coalesced = ds.coalesced;
   return s;
 }
 

@@ -28,21 +28,25 @@ struct PassStats {
   int sched_moves = 0;        // pure ops sunk toward their first use
   int pressure_before = 0;    // peak live 32-bit register units pre-pipeline
   int pressure_after = 0;     // ... and post-pipeline
-  // SSA bookkeeping. These are not "optimization work": the pipeline's
-  // fixpoint contract is defined over the five counters above, and an
-  // iteration that only churns SSA form (zero counted work) is reverted.
-  int phi_count = 0;            // phis placed by SSA construction (first round)
-  int ssa_bailouts = 0;         // 1 when first-round SSA construction left a
-                                // non-empty kernel in multi-def form
+  // Region bookkeeping. These are not "optimization work": the pipeline's
+  // keep-or-revert decision is made over the five counters above.
+  int phi_count = 0;            // phis placed by SSA construction
+  int ssa_bailouts = 0;         // 1 when SSA construction left a non-empty
+                                // kernel in multi-def form
   int ssa_destruct_reverts = 0; // 1 when SSA destruction failed and the
-                                // iteration was reverted
-  int ssa_copies_folded = 0;    // movs folded into SSA renaming (kept rounds)
-  int phi_copies_coalesced = 0; // phi-elimination copies coalesced (kept rounds)
+                                // region was reverted
+  int ssa_copies_folded = 0;    // movs folded into SSA renaming (kept region)
+  int phi_copies_coalesced = 0; // phi-elimination copies coalesced (kept region)
+  int ssa_rounds = 0;           // fixpoint rounds run inside the region; the
+                                // last one found no work
+  int liveness_evals = 0;       // max_live_pressure computations, the
+                                // pipeline's main compile-time cost
 };
 
 /// Peak number of simultaneously live 32-bit register units (predicates are
-/// free, 64-bit values count twice), from the allocator's own hole-free
-/// intervals. This is the quantity the pipeline promises never to increase.
+/// free, 64-bit values count twice) over the hole-free live ranges of
+/// compute_live_ranges, the ranges linear scan allocates. This is the
+/// quantity the pipeline promises never to increase.
 int max_live_pressure(const Kernel& k);
 
 /// Forward-propagates `mov dst, src` through all uses of `dst` (both
@@ -80,13 +84,12 @@ int run_pressure_scheduling(Kernel& k);
 ///   0: nothing (codegen's output as emitted)
 ///   1: copy propagation + DCE
 ///   2: + strength reduction, GVN, pressure scheduling
-/// At level >= 1 each iteration runs SSA construction, the passes, then SSA
-/// destruction, and repeats while an iteration both performs counted work
-/// and strictly shrinks the kernel without raising pressure; the final
-/// no-progress iteration is reverted wholesale, which is what makes the
-/// pipeline a fixpoint (running it again is byte-identical). Deletions keep
-/// emptied blocks as fall-through `bra`s while phis exist; a kept iteration
-/// drops them after SSA destruction.
+/// At level >= 1 the kernel is one SSA region: SSA construction, the passes
+/// repeated until a round finds no work, SSA destruction, and one check —
+/// the result is kept only if the passes did counted work, strictly shrank
+/// the kernel and did not raise peak pressure; otherwise the whole region is
+/// reverted. Deletions keep emptied blocks as fall-through `bra`s while phis
+/// exist; a kept region drops them after SSA destruction.
 PassStats run_pipeline(Kernel& k, int opt_level);
 
 }  // namespace safara::vir::passes

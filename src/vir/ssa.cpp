@@ -30,7 +30,7 @@ void compact_vregs(Kernel& k) {
     if (r == kNoReg || map[r] != kNoReg) return;
     map[r] = static_cast<std::uint32_t>(types.size());
     types.push_back(k.vreg_types[r]);
-    names.push_back(k.vreg_names[r]);
+    names.push_back(std::move(k.vreg_names[r]));  // each vreg is touched once
   };
   for (const Instr& in : k.code) {
     if (has_dst(in.op)) touch(in.dst);
@@ -59,21 +59,23 @@ int coalesce_copies(Kernel& k, const std::vector<char>& candidate) {
   if (nv == 0) return 0;
   const std::size_t words = (nv + 63) / 64;
 
-  std::vector<std::vector<std::uint64_t>> adj(nv, std::vector<std::uint64_t>(words, 0));
-  auto bit = [&](const std::vector<std::uint64_t>& row, std::uint32_t r) {
+  // One flat bit matrix: row r holds r's interference edges.
+  std::vector<std::uint64_t> adj_bits(static_cast<std::size_t>(nv) * words, 0);
+  auto adj = [&](std::uint32_t r) { return adj_bits.data() + static_cast<std::size_t>(r) * words; };
+  auto bit = [&](const std::uint64_t* row, std::uint32_t r) {
     return (row[r / 64] >> (r % 64)) & 1;
   };
   auto add_edge = [&](std::uint32_t x, std::uint32_t y) {
     if (x == y) return;
-    adj[x][y / 64] |= std::uint64_t{1} << (y % 64);
-    adj[y][x / 64] |= std::uint64_t{1} << (x % 64);
+    adj(x)[y / 64] |= std::uint64_t{1} << (y % 64);
+    adj(y)[x / 64] |= std::uint64_t{1} << (x % 64);
   };
 
   const Cfg cfg = build_dominator_cfg(k);
   const BlockLiveness lv = compute_block_liveness(k, cfg.blocks);
   std::vector<std::uint64_t> cur(words);
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    cur = lv.live_out[b];
+    cur.assign(lv.live_out(b), lv.live_out(b) + words);
     for (std::int32_t i = cfg.blocks[b].end - 1; i >= cfg.blocks[b].begin; --i) {
       const Instr& in = k.code[static_cast<std::size_t>(i)];
       if (has_dst(in.op) && in.dst != kNoReg) {
@@ -120,7 +122,7 @@ int coalesce_copies(Kernel& k, const std::vector<char>& candidate) {
       continue;
     }
     if (k.vreg_types[u] != k.vreg_types[v]) continue;
-    if (bit(adj[u], v)) continue;
+    if (bit(adj(u), v)) continue;
     // Representative: prefer the vreg with source-variable provenance, then
     // the lower index — keeps `vreg_names` flowing into the merged range.
     std::uint32_t rep = u, other = v;
@@ -130,14 +132,16 @@ int coalesce_copies(Kernel& k, const std::vector<char>& candidate) {
     parent[other] = rep;
     // Fold the absorbed range's interference into the representative (a
     // conservative superset of the merged range's true interference).
-    for (std::size_t w = 0; w < words; ++w) adj[rep][w] |= adj[other][w];
+    std::uint64_t* const rep_row = adj(rep);
+    const std::uint64_t* const other_row = adj(other);
+    for (std::size_t w = 0; w < words; ++w) rep_row[w] |= other_row[w];
     for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = adj[other][w];
+      std::uint64_t bits = other_row[w];
       while (bits) {
         const std::uint32_t r = static_cast<std::uint32_t>(w * 64) +
                                 static_cast<std::uint32_t>(__builtin_ctzll(bits));
         bits &= bits - 1;
-        adj[r][rep / 64] |= std::uint64_t{1} << (rep % 64);
+        adj(r)[rep / 64] |= std::uint64_t{1} << (rep % 64);
       }
     }
     dead[i] = 1;

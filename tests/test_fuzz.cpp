@@ -109,10 +109,9 @@ TEST(FuzzOracles, GeneratedSeedsPassEveryOracle) {
   }
 }
 
-TEST(FuzzPipeline, NoSsaDestructRevertsUnderPaperConfigs) {
-  // Every O2 iteration's SSA round trip must survive the passes: a revert
-  // throws away that iteration's work on the kernel.
-  driver::CompilerOptions configs[] = {
+/// The six paper configurations, all at opt-level 2.
+std::vector<driver::CompilerOptions> paper_configs_o2() {
+  std::vector<driver::CompilerOptions> configs = {
       driver::CompilerOptions::openuh_base(),
       driver::CompilerOptions::openuh_small(),
       driver::CompilerOptions::openuh_small_dim(),
@@ -121,6 +120,13 @@ TEST(FuzzPipeline, NoSsaDestructRevertsUnderPaperConfigs) {
       driver::CompilerOptions::pgi_like(),
   };
   for (driver::CompilerOptions& opts : configs) opts.opt_level = 2;
+  return configs;
+}
+
+TEST(FuzzPipeline, NoSsaDestructRevertsUnderPaperConfigs) {
+  // The O2 pipeline's SSA round trip must survive the passes: a revert
+  // throws away all of the pipeline's work on the kernel.
+  const std::vector<driver::CompilerOptions> configs = paper_configs_o2();
   // 200 seeds: the first kernels whose blocks empty mid-pipeline appear
   // just past seed 100.
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
@@ -133,6 +139,58 @@ TEST(FuzzPipeline, NoSsaDestructRevertsUnderPaperConfigs) {
       }
     }
   }
+}
+
+TEST(FuzzPipeline, VirUnchangedOnSeeds1To200) {
+  // One FNV-1a fingerprint of driver::dump_vir over 200 generated programs
+  // under every paper configuration, plus the summed code size and
+  // registers. Compile-time work on the VIR pipeline must leave its output
+  // byte-identical; a change that means to alter the IR re-records these
+  // values and says why.
+  const std::vector<driver::CompilerOptions> configs = paper_configs_o2();
+  std::uint64_t fingerprint = 1469598103934665603ull;  // FNV-1a, 64-bit
+  std::int64_t code_instrs = 0, regs = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const std::string src = generate_program(seed);
+    for (const driver::CompilerOptions& opts : configs) {
+      driver::Compiler compiler(opts);
+      const driver::CompiledProgram prog = compiler.compile(src);
+      for (unsigned char c : driver::dump_vir(prog)) {
+        fingerprint ^= c;
+        fingerprint *= 1099511628211ull;
+      }
+      for (const driver::CompiledKernel& k : prog.kernels) {
+        code_instrs += static_cast<std::int64_t>(k.kernel.code.size());
+        regs += k.alloc.regs_used;
+      }
+    }
+  }
+  EXPECT_EQ(fingerprint, 0x002f8baf6f9942b0ull)
+      << "dump_vir fingerprint 0x" << std::hex << fingerprint;
+  EXPECT_EQ(code_instrs, 100842);
+  EXPECT_EQ(regs, 43982);
+}
+
+TEST(FuzzPipeline, WorkFoundInALaterRoundIsKeptOnSeed405) {
+  // Seed 405 is the one program in seeds 1-600 and 1000003-1000602 whose
+  // pipeline output depends on a second pass round inside the SSA region:
+  // its first kernel's second round finds work and a third confirms it. A
+  // pipeline that stopped after one round changes this fingerprint
+  // (recorded before the pipeline became one SSA region).
+  std::uint64_t fingerprint = 1469598103934665603ull;  // FNV-1a, 64-bit
+  const std::string src = generate_program(405);
+  for (const driver::CompilerOptions& opts : paper_configs_o2()) {
+    driver::Compiler compiler(opts);
+    const driver::CompiledProgram prog = compiler.compile(src);
+    ASSERT_FALSE(prog.kernels.empty());
+    EXPECT_EQ(prog.kernels[0].vir_stats.ssa_rounds, 3);
+    for (unsigned char c : driver::dump_vir(prog)) {
+      fingerprint ^= c;
+      fingerprint *= 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(fingerprint, 0xdcde512c9f43c668ull)
+      << "dump_vir fingerprint 0x" << std::hex << fingerprint;
 }
 
 TEST(FuzzOracles, NamesRoundTripThroughParser) {

@@ -411,6 +411,32 @@ TEST(VirPasses, PipelineNeverRaisesLivePressure) {
   }
 }
 
+TEST(VirPasses, PressureRevertedResultIsNotRetriedOnAnUnchangedKernel) {
+  // 303.ostencil's kernel: round 1 folds constants, copies and 57 GVN hits,
+  // then scheduling finds moves that do not lower peak pressure and reverts
+  // them. Round 2 finds no work, and the kernel it sees is the state
+  // scheduling already reverted on, so scheduling is not run again. Peak
+  // pressure is measured five times: before the region, before and after
+  // GVN's hits, after scheduling's moves (their "before" is GVN's "after"),
+  // and for the final check. Rerunning scheduling in round 2 would make it
+  // six.
+  const workloads::Workload* w = workloads::find_workload("303.ostencil");
+  ASSERT_NE(w, nullptr);
+  std::vector<vir::Kernel> kernels = raw_kernels(*w);
+  ASSERT_EQ(kernels.size(), 1u);
+  const vir::passes::PassStats s = vir::passes::run_pipeline(kernels[0], 2);
+  EXPECT_EQ(s.gvn_hits, 57);
+  EXPECT_EQ(s.sched_moves, 0);
+  EXPECT_EQ(s.ssa_rounds, 2);
+  EXPECT_EQ(s.liveness_evals, 5);
+
+  // Level 0 measures pressure once and runs no region.
+  vir::Kernel raw = raw_kernels(*w)[0];
+  const vir::passes::PassStats none = vir::passes::run_pipeline(raw, 0);
+  EXPECT_EQ(none.ssa_rounds, 0);
+  EXPECT_EQ(none.liveness_evals, 1);
+}
+
 TEST(VirPasses, LevelZeroIsIdentity) {
   for (const workloads::Workload& w : workloads::all_workloads()) {
     for (vir::Kernel k : raw_kernels(w)) {

@@ -363,7 +363,7 @@ TEST(SsaPipeline, EmptiedBlockKeepsPhiEdgesAndDestructSucceeds) {
   // the join and the loop head — a predecessor of the loop-header phi.
   // Deleting through vir::remove_dead keeps that block as a `bra`, so
   // destruction still matches every phi operand to its edge, and the
-  // iteration that deletes the dead loop body is kept instead of reverted.
+  // region that deletes the dead loop body is kept instead of reverted.
   const char* src = R"(
 void f(int n, int m, int c0, float *x, int *y) {
   #pragma acc parallel loop gang vector
