@@ -380,7 +380,6 @@ CompiledProgram Compiler::compile(const ast::Function& fn) {
       collector_->metrics.add("regalloc.iterations", ck.alloc.iterations);
       collector_->metrics.add("vir.copyprop_removed", ck.vir_stats.copyprop_removed);
       collector_->metrics.add("vir.gvn_hits", ck.vir_stats.gvn_hits);
-      collector_->metrics.add("vir.ssa_bailouts", ck.vir_stats.ssa_bailouts);
       collector_->metrics.add("vir.ssa_destruct_reverts", ck.vir_stats.ssa_destruct_reverts);
       collector_->metrics.add("vir.ssa_rounds", ck.vir_stats.ssa_rounds);
       collector_->metrics.add("vir.liveness_evals", ck.vir_stats.liveness_evals);

@@ -565,7 +565,7 @@ class Interpreter {
     switch (e.kind) {
       case ExprKind::kIntLit: {
         // Sema types every literal i32, but a literal above INT32_MAX keeps its
-        // full value until it is converted, so type it by what it holds.
+        // full value until a conversion narrows it, so type it by what it holds.
         const std::int64_t v = e.as<ast::IntLit>().value;
         return constant(v == trunc32(v) ? ScalarType::kI32 : ScalarType::kI64, int_val(v));
       }

@@ -124,7 +124,7 @@ AllocationResult allocate_color(const Kernel& kernel, const AllocatorOptions& op
       if (vir::has_dst(in.op) && in.dst != vir::kNoReg) {
         running[in.dst / 64] &= ~(std::uint64_t{1} << (in.dst % 64));
       }
-      vir::for_each_use(in, [&](std::uint32_t r) {
+      vir::for_each_use(kernel, in, [&](std::uint32_t r) {
         running[r / 64] |= std::uint64_t{1} << (r % 64);
       });
       std::copy(running.begin(), running.end(), before(i));
@@ -199,7 +199,7 @@ AllocationResult allocate_color(const Kernel& kernel, const AllocatorOptions& op
       access_cost[v] += mult;
     };
     if (vir::has_dst(in.op) && in.dst != vir::kNoReg) touch(in.dst);
-    vir::for_each_use(in, touch);
+    vir::for_each_use(kernel, in, touch);
     const std::uint64_t* lb = before(i);
     auto extend = [&](std::uint32_t v) {
       if (first_pos[v] < 0) first_pos[v] = i;
@@ -611,7 +611,7 @@ AllocationResult allocate_color(const Kernel& kernel, const AllocatorOptions& op
     if (vir::has_dst(in.op) && in.dst != vir::kNoReg && result.spilled[in.dst]) {
       ++result.spill_stores;
     }
-    vir::for_each_use(in, [&](std::uint32_t r) {
+    vir::for_each_use(kernel, in, [&](std::uint32_t r) {
       if (result.spilled[r]) ++result.spill_loads;
     });
   }

@@ -257,7 +257,7 @@ AllocationResult allocate_linear(const Kernel& kernel, const AllocatorOptions& o
     if (vir::has_dst(in.op) && in.dst != vir::kNoReg && result.spilled[in.dst]) {
       ++result.spill_stores;
     }
-    vir::for_each_use(in, [&](std::uint32_t r) {
+    vir::for_each_use(kernel, in, [&](std::uint32_t r) {
       if (result.spilled[r]) ++result.spill_loads;
     });
   }

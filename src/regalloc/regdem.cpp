@@ -59,7 +59,7 @@ RegDemReport demote_spill_slots(const Kernel& kernel, AllocationResult& alloc,
       if (v < nv) weight[v] += mult;
     };
     if (vir::has_dst(in.op) && in.dst != vir::kNoReg) touch(in.dst);
-    vir::for_each_use(in, touch);
+    vir::for_each_use(kernel, in, touch);
   }
 
   std::stable_sort(candidates.begin(), candidates.end(),

@@ -407,8 +407,14 @@ DecodedKernel decode(const Kernel& k, const regalloc::AllocationResult& alloc,
     return lat.shared_mem + (degree - 1) * lat.shared_conflict;
   };
   for (const Instr& in : k.code) {
+    // Phis exist only between SSA construction and destruction inside the
+    // pass pipeline; the allocator and simulator operate on phi-free code.
+    // Rejected before any operand is read, for both dispatch engines.
+    if (in.op == Opcode::kPhi) {
+      throw std::runtime_error("vgpu: phi instruction reached the simulator");
+    }
     DecodedInstr d;
-    vir::for_each_use(in, [&](std::uint32_t r) {
+    vir::for_each_use(k, in, [&](std::uint32_t r) {
       d.uses[d.num_uses++] = r;
       if (alloc.spilled[r]) {
         if (is_remat(r)) {
@@ -1345,11 +1351,6 @@ class SmSimulator {
         });
         return;
       }
-      case Opcode::kPhi:
-        // Phis exist only between SSA construction and destruction inside the
-        // pass pipeline; the allocator and simulator operate on phi-free code.
-        // Rejected here so both dispatch engines refuse one the same way.
-        throw std::runtime_error("vgpu: phi instruction reached the simulator");
       default:
         return;  // memory, atomic and control-flow opcodes live in execute()
     }

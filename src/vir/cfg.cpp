@@ -258,7 +258,7 @@ BlockLiveness compute_block_liveness(const Kernel& k,
     std::uint64_t* const db = def.data() + b * words;
     for (std::int32_t i = blocks[b].begin; i < blocks[b].end; ++i) {
       const Instr& in = k.code[i];
-      for_each_use(in, [&](std::uint32_t r) {
+      for_each_use(k, in, [&](std::uint32_t r) {
         if (!((db[r / 64] >> (r % 64)) & 1)) ub[r / 64] |= std::uint64_t{1} << (r % 64);
       });
       if (has_dst(in.op) && in.dst != kNoReg) {

@@ -100,7 +100,7 @@ LiveRanges compute_live_ranges(const Kernel& k) {
     extend_bits(lv.live_out(b), blocks[b].end - 1);
     for (std::int32_t i = blocks[b].begin; i < blocks[b].end; ++i) {
       const Instr& in = k.code[i];
-      for_each_use(in, [&](std::uint32_t r) { extend(r, i); });
+      for_each_use(k, in, [&](std::uint32_t r) { extend(r, i); });
       if (has_dst(in.op) && in.dst != kNoReg) extend(in.dst, i);
     }
   }

@@ -38,12 +38,4 @@ LiveRanges compute_live_ranges(const Kernel& k);
 /// compute_live_ranges as one interval per referenced vreg, sorted by start.
 std::vector<LiveInterval> compute_live_intervals(const Kernel& k);
 
-/// Invokes `fn(vreg)` for every register the instruction reads.
-template <typename Fn>
-void for_each_use(const Instr& in, Fn&& fn) {
-  if (in.a != kNoReg) fn(in.a);
-  if (in.b != kNoReg) fn(in.b);
-  if (in.c != kNoReg) fn(in.c);
-}
-
 }  // namespace safara::vir

@@ -13,20 +13,10 @@ namespace safara::vir::passes {
 
 namespace {
 
-/// Definition count per virtual register. Multi-def registers are codegen's
-/// mutable slots; every pass treats them as opaque.
-std::vector<int> def_counts(const Kernel& k) {
-  std::vector<int> defs(k.num_vregs(), 0);
-  for (const Instr& in : k.code) {
-    if (has_dst(in.op) && in.dst != kNoReg) ++defs[in.dst];
-  }
-  return defs;
-}
-
 std::vector<int> use_counts(const Kernel& k) {
   std::vector<int> uses(k.num_vregs(), 0);
   for (const Instr& in : k.code) {
-    for_each_use(in, [&](std::uint32_t r) { ++uses[r]; });
+    for_each_use(k, in, [&](std::uint32_t r) { ++uses[r]; });
   }
   return uses;
 }
@@ -34,10 +24,10 @@ std::vector<int> use_counts(const Kernel& k) {
 /// Redirects every operand to the end of its `repl` chain (kNoReg: keep).
 /// A chain only ever ends at a register whose own entry was still unset,
 /// so chains cannot cycle.
-void apply_repl(Instr& in, const std::vector<std::uint32_t>& repl) {
-  for (std::uint32_t* r : {&in.a, &in.b, &in.c}) {
-    while (*r != kNoReg && repl[*r] != kNoReg) *r = repl[*r];
-  }
+void apply_repl(Kernel& k, Instr& in, const std::vector<std::uint32_t>& repl) {
+  for_each_use_ref(k, in, [&](std::uint32_t& r) {
+    while (repl[r] != kNoReg) r = repl[r];
+  });
 }
 
 }  // namespace
@@ -61,25 +51,23 @@ int max_live_pressure(const Kernel& k) {
 }
 
 int run_copy_propagation(Kernel& k) {
-  const std::vector<int> defs = def_counts(k);
   // repl[d] is the source of the deleted copy into d.
   std::vector<std::uint32_t> repl(k.num_vregs(), kNoReg);
   std::vector<char> dead(k.code.size(), 0);
   for (std::size_t i = 0; i < k.code.size(); ++i) {
     Instr& in = k.code[i];
-    apply_repl(in, repl);
+    apply_repl(k, in, repl);
     if (in.op != Opcode::kMov || in.dst == kNoReg || in.a == kNoReg) continue;
-    if (in.dst == in.a) {  // identity copy: a no-op at any def count
+    if (in.dst == in.a) {  // identity copy
       dead[i] = 1;
       continue;
     }
-    if (defs[in.dst] != 1 || defs[in.a] != 1) continue;
     if (k.vreg_types[in.dst] != k.vreg_types[in.a]) continue;
     repl[in.dst] = in.a;
     dead[i] = 1;
   }
   // Reads that precede their copy in code order (phi operands on back edges).
-  for (Instr& in : k.code) apply_repl(in, repl);
+  for (Instr& in : k.code) apply_repl(k, in, repl);
   return remove_dead(k, dead);
 }
 
@@ -186,7 +174,6 @@ struct PressureMemo {
 
 int gvn(Kernel& k, PressureMemo& pressure) {
   if (k.code.empty()) return 0;
-  const std::vector<int> defs = def_counts(k);
   const Cfg cfg = build_dominator_cfg(k);
 
   // repl[r] is the dominating leader that replaces the deleted def of r.
@@ -212,17 +199,12 @@ int gvn(Kernel& k, PressureMemo& pressure) {
     undo_mark[bi] = table.mark();
     for (std::int32_t i = cfg.blocks[bi].begin; i < cfg.blocks[bi].end; ++i) {
       Instr in = k.code[static_cast<std::size_t>(i)];
-      apply_repl(in, repl);
       // Phis are pure but their value depends on the edge taken, not on
-      // their operand tuple — never number them.
+      // their operand tuple — never number them. (Skipping them first also
+      // keeps apply_repl, which rewrites a phi's operands in place, off them.)
       if (in.op == Opcode::kPhi) continue;
       if (!is_pure(in.op) || !has_dst(in.op) || in.dst == kNoReg) continue;
-      if (defs[in.dst] != 1) continue;
-      bool stable = true;
-      for_each_use(in, [&](std::uint32_t r) {
-        if (defs[r] != 1) stable = false;
-      });
-      if (!stable) continue;
+      apply_repl(k, in, repl);
       const std::uint32_t leader = table.find_or_insert(make_gvn_key(in, k), in.dst);
       if (leader != kNoReg) {
         repl[in.dst] = leader;
@@ -236,13 +218,15 @@ int gvn(Kernel& k, PressureMemo& pressure) {
 
   if (hits == 0) return 0;
   const int pressure_before = pressure.of(k);
-  // Redirecting operands and deleting touch only the code and the labels.
+  // Redirecting operands and deleting touch only the code, the labels and
+  // the phi operands.
   std::vector<Instr> code_before = k.code;
   std::vector<std::int32_t> labels_before = k.labels;
+  std::vector<std::uint32_t> phi_operands_before = k.phi_operands;
   // Every use is redirected here, including those the walk reached before
   // their leader's hit (phi operands on back edges, blocks outside the
   // dominator tree).
-  for (Instr& in : k.code) apply_repl(in, repl);
+  for (Instr& in : k.code) apply_repl(k, in, repl);
   remove_dead(k, dead);
   // Merging computations can lengthen the surviving value's live range (an
   // immediate re-materialized per block is cheaper than one register pinned
@@ -252,6 +236,7 @@ int gvn(Kernel& k, PressureMemo& pressure) {
   if (pressure_after > pressure_before) {
     k.code = std::move(code_before);
     k.labels = std::move(labels_before);
+    k.phi_operands = std::move(phi_operands_before);
     return 0;
   }
   pressure.known = pressure_after;
@@ -289,17 +274,14 @@ int run_dce(Kernel& k) {
 }
 
 int run_strength_reduction(Kernel& k) {
-  const std::vector<int> defs = def_counts(k);
   std::vector<std::int32_t> def_pos(k.num_vregs(), -1);
   for (std::size_t i = 0; i < k.code.size(); ++i) {
     const Instr& in = k.code[i];
-    if (has_dst(in.op) && in.dst != kNoReg && defs[in.dst] == 1) {
-      def_pos[in.dst] = static_cast<std::int32_t>(i);
-    }
+    if (has_dst(in.op) && in.dst != kNoReg) def_pos[in.dst] = static_cast<std::int32_t>(i);
   }
   // The literal integer value of `r` at instruction `at`, if known.
   auto const_of = [&](std::uint32_t r, std::int32_t at, std::int64_t& out) {
-    if (r == kNoReg || defs[r] != 1) return false;
+    if (r == kNoReg) return false;
     const std::int32_t d = def_pos[r];
     if (d < 0 || d >= at) return false;
     const Instr& din = k.code[static_cast<std::size_t>(d)];
@@ -401,7 +383,6 @@ namespace {
 
 int pressure_scheduling(Kernel& k, PressureMemo& pressure) {
   if (k.code.empty()) return 0;
-  const std::vector<int> defs = def_counts(k);
   const std::vector<BasicBlock> blocks = build_label_blocks(k);
 
   // The kernel is untouched until the first move, so that is where its
@@ -417,15 +398,9 @@ int pressure_scheduling(Kernel& k, PressureMemo& pressure) {
       // Phis must stay contiguous at their block head.
       if (in.op == Opcode::kPhi) continue;
       if (!is_pure(in.op) || !has_dst(in.op) || in.dst == kNoReg) continue;
-      if (defs[in.dst] != 1) continue;
-      bool movable = true;
-      for_each_use(in, [&](std::uint32_t r) {
-        if (defs[r] != 1) movable = false;  // a slot read must keep its place
-      });
-      if (!movable) continue;
       std::int32_t first_use = -1;
       for (std::int32_t p = i + 1; p < bb.end && first_use < 0; ++p) {
-        for_each_use(k.code[p], [&](std::uint32_t r) {
+        for_each_use(k, k.code[p], [&](std::uint32_t r) {
           if (r == in.dst) first_use = p;
         });
       }
@@ -512,17 +487,13 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
   // One SSA region: construct once, run the passes inside SSA form until a
   // round changes nothing, destruct once, then keep the result only if the
   // passes did counted work, strictly shrank the kernel and did not raise
-  // peak pressure; otherwise revert to the one snapshot. A kernel SSA
-  // construction leaves in multi-def form runs the same fixpoint under the
-  // same check. Re-running the pipeline on its own output finds no work and
-  // reverts (VirPasses.PipelineIsAFixpoint pins this on every workload).
+  // peak pressure; otherwise revert to the one snapshot. Re-running the
+  // pipeline on its own output finds no work and reverts
+  // (VirPasses.PipelineIsAFixpoint pins this on every workload).
   Kernel snapshot = k;
   const ssa::ConstructStats cs = ssa::construct(k);
   s.phi_count = cs.phis;
-  s.ssa_bailouts = !cs.converted && !snapshot.code.empty() ? 1 : 0;
   Region region{k};
-  // A bailed construction leaves the kernel as it was.
-  if (!cs.converted) region.pressure.known = s.pressure_before;
 
   PassStats w;
   for (int round_start = -1; round_start != region.version;) {
@@ -544,7 +515,7 @@ PassStats run_pipeline(Kernel& k, int opt_level) {
 
   bool keep = region.version > 0;  // any counted work at all
   ssa::DestructStats ds;
-  if (keep && cs.converted) {
+  if (keep) {
     ds = ssa::destruct(k);
     s.ssa_destruct_reverts = ds.ok ? 0 : 1;
     keep = ds.ok;

@@ -3,15 +3,14 @@
 // the quantity the paper's whole feedback loop is built around — not to
 // minimize instruction count for its own sake.
 //
-// Codegen materializes variables and loop induction values as multi-def
-// "mutable slots"; each standalone pass restricts itself to single-def
-// virtual registers (def count == 1) so it stays sound on raw codegen
-// output. `run_pipeline` lifts that restriction by converting the kernel to
-// SSA form first (src/vir/ssa.hpp): after renaming, every slot def is its
-// own single-def vreg, so the guards are trivially true and the passes see
-// all values. Phis are destroyed again before the pipeline returns — no
-// consumer outside this file ever observes `Opcode::kPhi`. See
-// docs/PASSES.md for each pass's legality argument.
+// Every pass requires its input in SSA form (src/vir/ssa.hpp): each vreg has
+// at most one definition, and a vreg with none is never written and reads
+// zero. Codegen materializes variables and loop induction values as
+// multi-def "mutable slots", so `run_pipeline` converts the kernel to SSA
+// first and destroys the phis again before it returns — no consumer outside
+// this file ever observes `Opcode::kPhi`. A standalone pass run on raw
+// codegen output is unsound. See docs/PASSES.md for each pass's legality
+// argument.
 #pragma once
 
 #include "vir/vir.hpp"
@@ -31,8 +30,6 @@ struct PassStats {
   // Region bookkeeping. These are not "optimization work": the pipeline's
   // keep-or-revert decision is made over the five counters above.
   int phi_count = 0;            // phis placed by SSA construction
-  int ssa_bailouts = 0;         // 1 when SSA construction left a non-empty
-                                // kernel in multi-def form
   int ssa_destruct_reverts = 0; // 1 when SSA destruction failed and the
                                 // region was reverted
   int ssa_copies_folded = 0;    // movs folded into SSA renaming (kept region)
@@ -49,8 +46,8 @@ struct PassStats {
 /// quantity the pipeline promises never to increase.
 int max_live_pressure(const Kernel& k);
 
-/// Forward-propagates `mov dst, src` through all uses of `dst` (both
-/// single-def, same type), then deletes the dead movs. Returns the number of
+/// Forward-propagates `mov dst, src` through all uses of `dst` (same type),
+/// then deletes the dead movs. Returns the number of
 /// instructions removed.
 int run_copy_propagation(Kernel& k);
 
@@ -74,8 +71,7 @@ int run_dce(Kernel& k);
 /// they are not bit-exact under -0.0/NaN. Returns rewrites performed.
 int run_strength_reduction(Kernel& k);
 
-/// Sethi–Ullman-flavoured pressure scheduling: independent pure single-def
-/// ops sink within their basic block to just before their first use, which
+/// Sethi–Ullman-flavoured pressure scheduling: independent pure ops sink within their basic block to just before their first use, which
 /// shortens their live range before linear scan. Reverted wholesale if peak
 /// pressure would grow. Returns instructions moved.
 int run_pressure_scheduling(Kernel& k);

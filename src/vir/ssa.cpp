@@ -1,6 +1,7 @@
 #include "vir/ssa.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,8 +18,8 @@ SourceLoc first_valid_loc(const Kernel& k) {
   return {};
 }
 
-/// Renumbers vregs densely by first appearance in the code (dst, then a, b,
-/// c, per instruction). Vregs no longer referenced anywhere are dropped, so
+/// Renumbers vregs densely by first appearance in the code (dst, then the
+/// uses, per instruction). Vregs no longer referenced anywhere are dropped, so
 /// the fully-renamed original slots and coalesced-away temps disappear from
 /// the register file.
 void compact_vregs(Kernel& k) {
@@ -34,15 +35,11 @@ void compact_vregs(Kernel& k) {
   };
   for (const Instr& in : k.code) {
     if (has_dst(in.op)) touch(in.dst);
-    touch(in.a);
-    touch(in.b);
-    touch(in.c);
+    for_each_use(k, in, touch);
   }
   for (Instr& in : k.code) {
     if (has_dst(in.op) && in.dst != kNoReg) in.dst = map[in.dst];
-    if (in.a != kNoReg) in.a = map[in.a];
-    if (in.b != kNoReg) in.b = map[in.b];
-    if (in.c != kNoReg) in.c = map[in.c];
+    for_each_use_ref(k, in, [&](std::uint32_t& r) { r = map[r]; });
   }
   k.vreg_types = std::move(types);
   k.vreg_names = std::move(names);
@@ -92,7 +89,7 @@ int coalesce_copies(Kernel& k, const std::vector<char>& candidate) {
         }
         cur[d / 64] &= ~(std::uint64_t{1} << (d % 64));
       }
-      for_each_use(in, [&](std::uint32_t r) {
+      for_each_use(k, in, [&](std::uint32_t r) {
         cur[r / 64] |= std::uint64_t{1} << (r % 64);
       });
     }
@@ -151,9 +148,7 @@ int coalesce_copies(Kernel& k, const std::vector<char>& candidate) {
 
   for (Instr& in : k.code) {
     if (has_dst(in.op) && in.dst != kNoReg) in.dst = find(in.dst);
-    if (in.a != kNoReg) in.a = find(in.a);
-    if (in.b != kNoReg) in.b = find(in.b);
-    if (in.c != kNoReg) in.c = find(in.c);
+    for_each_use_ref(k, in, [&](std::uint32_t& r) { r = find(r); });
   }
   remove_dead(k, dead);
   return merged;
@@ -166,10 +161,10 @@ ConstructStats construct(Kernel& k) {
   if (k.code.empty()) return stats;
   Cfg cfg = build_dominator_cfg(k);
   const std::size_t nb = cfg.blocks.size();
-  // The entry block has an implicit function-entry edge with no operand
-  // slot; if it is also a branch target (a loop rolled all the way up to
-  // instruction 0) a phi there could not represent the entry path.
-  if (nb == 0 || !cfg.preds[0].empty()) return stats;
+  if (!cfg.preds[0].empty()) {
+    throw std::logic_error("ssa::construct: kernel " + k.name +
+                           " branches back to its entry block");
+  }
 
   const std::uint32_t nv = k.num_vregs();
   std::vector<int> defs(nv, 0);
@@ -184,10 +179,7 @@ ConstructStats construct(Kernel& k) {
       any_var = true;
     }
   }
-  if (!any_var) {
-    stats.converted = true;  // already SSA; destruction will just compact
-    return stats;
-  }
+  if (!any_var) return stats;  // already SSA; destruction will just compact
 
   // Pruned phi placement: iterated dominance frontiers of each slot's def
   // blocks, filtered by block live-in so dead joins get no phi.
@@ -228,14 +220,7 @@ ConstructStats construct(Kernel& k) {
   }
 
   int total_phis = 0;
-  for (std::size_t b = 0; b < nb; ++b) {
-    if (phis_at[b].empty()) continue;
-    total_phis += static_cast<int>(phis_at[b].size());
-    // A VIR instruction has three register operands; a join with more
-    // predecessors cannot carry a phi. Bail before mutating anything.
-    if (cfg.preds[b].size() > 3 || cfg.preds[b].empty()) return stats;
-  }
-  stats.converted = true;
+  for (const auto& phis : phis_at) total_phis += static_cast<int>(phis.size());
 
   // Insert the phis at their block heads. Labels point at leaders, so every
   // label target is a block begin and maps to the (phi-prefixed) new begin.
@@ -253,15 +238,11 @@ ConstructStats construct(Kernel& k) {
           break;
         }
       }
-      const std::size_t np = cfg.preds[b].size();
       for (std::uint32_t v : phis_at[b]) {
-        Instr p;
-        p.op = Opcode::kPhi;
-        p.type = k.vreg_types[v];
-        p.dst = v;  // placeholder; renaming mints the SSA name
-        p.a = v;    // operand slots seeded with the slot itself
-        p.b = np >= 2 ? v : kNoReg;
-        p.c = np >= 3 ? v : kNoReg;
+        // dst is a placeholder the renaming replaces with the SSA name; every
+        // operand is seeded with the slot itself.
+        Instr p = make_phi(k, k.vreg_types[v], v,
+                           std::vector<std::uint32_t>(cfg.preds[b].size(), v));
         p.loc = head;
         code.push_back(p);
       }
@@ -327,9 +308,7 @@ ConstructStats construct(Kernel& k) {
           f.pushed.push_back(v);
           continue;
         }
-        if (in.a != kNoReg) in.a = cur_val(in.a);
-        if (in.b != kNoReg) in.b = cur_val(in.b);
-        if (in.c != kNoReg) in.c = cur_val(in.c);
+        for_each_use_ref(k, in, [&](std::uint32_t& r) { r = cur_val(r); });
         if (!has_dst(in.op) || in.dst == kNoReg) continue;
         const std::uint32_t v = in.dst;
         if (v >= nv || !is_var[v]) continue;
@@ -355,14 +334,13 @@ ConstructStats construct(Kernel& k) {
         const BasicBlock& sbb = cfg.blocks[sb];
         for (std::int32_t i = sbb.begin;
              i < sbb.end && k.code[static_cast<std::size_t>(i)].op == Opcode::kPhi; ++i) {
-          Instr& p = k.code[static_cast<std::size_t>(i)];
-          std::uint32_t& slot = pos == 0 ? p.a : pos == 1 ? p.b : p.c;
-          // The seed value in an unfilled slot is the original slot vreg,
-          // which doubles as the phi's variable.
-          const std::uint32_t v = slot < nv ? slot : kNoReg;
-          if (v != kNoReg && is_var[v]) {
-            slot = stack[v].empty() ? v : stack[v].back();
-          }
+          std::size_t op = 0;
+          for_each_use_ref(k, k.code[static_cast<std::size_t>(i)], [&](std::uint32_t& slot) {
+            // The seed value in an unfilled slot is the original slot vreg,
+            // which doubles as the phi's variable.
+            if (op++ != pos || slot >= nv || !is_var[slot]) return;
+            if (!stack[slot].empty()) slot = stack[slot].back();
+          });
         }
       }
     }
@@ -400,6 +378,7 @@ DestructStats destruct(Kernel& k) {
   };
   std::vector<Insertion> ins;
   std::vector<char> was_phi(k.code.size(), 0);
+  std::vector<std::uint32_t> operands;
 
   for (std::size_t b = 0; b < nb; ++b) {
     const BasicBlock& bb = cfg.blocks[b];
@@ -418,8 +397,9 @@ DestructStats destruct(Kernel& k) {
     const auto& preds = cfg.preds[b];
     for (std::int32_t pi = bb.begin; pi < phi_end; ++pi) {
       Instr& phi = k.code[static_cast<std::size_t>(pi)];
-      const std::size_t nops = phi.c != kNoReg ? 3 : phi.b != kNoReg ? 2 : 1;
-      if (nops != preds.size()) {
+      operands.clear();
+      for_each_use(k, phi, [&](std::uint32_t r) { operands.push_back(r); });
+      if (operands.size() != preds.size()) {
         // The CFG drifted since construction; the operand-to-edge mapping
         // is gone.
         stats.ok = false;
@@ -438,7 +418,7 @@ DestructStats destruct(Kernel& k) {
         rec.instr.op = Opcode::kMov;
         rec.instr.type = phi.type;
         rec.instr.dst = temp;
-        rec.instr.a = p == 0 ? phi.a : p == 1 ? phi.b : phi.c;
+        rec.instr.a = operands[p];
         rec.instr.loc = last.loc.valid() ? last.loc
                         : phi.loc.valid() ? phi.loc
                                           : fallback;
@@ -446,13 +426,12 @@ DestructStats destruct(Kernel& k) {
         ++stats.copies_inserted;
       }
       // The phi itself becomes the second half of the two-copy scheme.
-      phi.op = Opcode::kMov;
-      phi.a = temp;
-      phi.b = kNoReg;
-      phi.c = kNoReg;
+      phi = Instr{.op = Opcode::kMov, .type = phi.type, .dst = phi.dst, .a = temp,
+                  .loc = phi.loc};
       was_phi[static_cast<std::size_t>(pi)] = 1;
     }
   }
+  k.phi_operands.clear();
 
   std::vector<char> candidate;
   if (!ins.empty()) {

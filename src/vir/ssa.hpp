@@ -1,11 +1,10 @@
 // SSA construction and destruction for the VIR pass pipeline.
 //
 // Codegen emits multi-def "mutable slots" for source variables and loop
-// induction values; historically every optimizer pass restricted itself to
-// single-def vregs to stay sound. `construct` renames those slots into SSA
-// (pruned phi placement on the dominance frontier, a fresh vreg per def), so
-// the def-count guards inside the passes become trivially true and the
-// optimizer finally sees every value. `destruct` lowers the phis back to
+// induction values. `construct` renames those slots into SSA (pruned phi
+// placement on the dominance frontier, a fresh vreg per def), which is the
+// form every optimizer pass requires. Phis are n-ary: one operand per
+// predecessor, however many a join has. `destruct` lowers the phis back to
 // moves before register allocation — nothing outside the pipeline ever sees
 // an `Opcode::kPhi`.
 #pragma once
@@ -20,19 +19,21 @@ struct ConstructStats {
   int phis = 0;
   /// `mov` copies of slots folded directly into the renaming.
   int copies_folded = 0;
-  /// False when the kernel was left untouched: empty code, a join needing a
-  /// phi with more than three predecessors (VIR instructions carry three
-  /// register operands), or an entry block with predecessors (the implicit
-  /// function-entry edge has no operand slot).
-  bool converted = false;
 };
 
 /// Rewrites `k` into SSA form in place. Every def of a multi-def vreg mints a
 /// fresh vreg (inheriting the slot's `vreg_names` entry); the original vreg
 /// is never written afterwards, so a use reached by no definition keeps the
 /// original (zero-initialized) register — preserving the seed semantics for
-/// undef paths. Phi operands are ordered by ascending predecessor block
-/// index. Provenance: phis take the source location of their block head.
+/// undef paths. A phi has one operand per predecessor block, ordered by
+/// ascending block index (vir::make_phi). Provenance: phis take the source
+/// location of their block head.
+///
+/// Precondition: no branch targets the entry block. Its implicit
+/// function-entry edge has no operand, so a phi there could not represent
+/// it; a violating kernel throws std::logic_error. Codegen never emits one:
+/// every kernel reads special registers or initializes its loop before its
+/// first label.
 ConstructStats construct(Kernel& k);
 
 struct DestructStats {

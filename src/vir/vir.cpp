@@ -62,44 +62,6 @@ const char* to_string(Opcode op) {
   return "?";
 }
 
-bool is_pure(Opcode op) {
-  switch (op) {
-    case Opcode::kLdGlobal:
-    case Opcode::kStGlobal:
-    case Opcode::kAtomAdd:
-    case Opcode::kBra:
-    case Opcode::kCbr:
-    case Opcode::kExit: return false;
-    default: return true;
-  }
-}
-
-bool is_sfu(Opcode op) {
-  switch (op) {
-    case Opcode::kSqrt:
-    case Opcode::kRsqrt:
-    case Opcode::kExp:
-    case Opcode::kLog:
-    case Opcode::kSin:
-    case Opcode::kCos:
-    case Opcode::kPow:
-    case Opcode::kFloor:
-    case Opcode::kCeil: return true;
-    default: return false;
-  }
-}
-
-bool has_dst(Opcode op) {
-  switch (op) {
-    case Opcode::kStGlobal:
-    case Opcode::kAtomAdd:
-    case Opcode::kBra:
-    case Opcode::kCbr:
-    case Opcode::kExit: return false;
-    default: return true;
-  }
-}
-
 const char* to_string(SpecialReg r) {
   switch (r) {
     case SpecialReg::kTidX: return "%tid.x";
@@ -161,9 +123,8 @@ std::string to_string(const Instr& in, const Kernel& k) {
          << reg(in.c);
       break;
     case Opcode::kPhi:
-      os << ' ' << reg(in.dst) << ", " << reg(in.a);
-      if (in.b != kNoReg) os << ", " << reg(in.b);
-      if (in.c != kNoReg) os << ", " << reg(in.c);
+      os << ' ' << reg(in.dst);
+      for_each_use(k, in, [&](std::uint32_t r) { os << ", " << reg(r); });
       break;
     default:
       os << ' ' << reg(in.dst);

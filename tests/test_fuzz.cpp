@@ -8,6 +8,8 @@
 // source-tree tests/corpus directory.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -191,6 +193,23 @@ TEST(FuzzPipeline, WorkFoundInALaterRoundIsKeptOnSeed405) {
   }
   EXPECT_EQ(fingerprint, 0xdcde512c9f43c668ull)
       << "dump_vir fingerprint 0x" << std::hex << fingerprint;
+}
+
+TEST(FuzzPipeline, FourPredecessorJoinGetsAPhiUnderPaperConfigs) {
+  // Three nested `if`s without `else` end at one join with four
+  // predecessors; the scalar live across it needs a 4-operand phi. SSA
+  // construction used to refuse phis that wide and leave the kernel to
+  // guard-limited optimization (phi_count 0).
+  std::ifstream in(std::string(SAFARA_CORPUS_DIR) + "/nested_if_four_way_join.acc");
+  ASSERT_TRUE(in) << "corpus file missing";
+  std::stringstream src;
+  src << in.rdbuf();
+  for (const driver::CompilerOptions& opts : paper_configs_o2()) {
+    driver::Compiler compiler(opts);
+    const driver::CompiledProgram prog = compiler.compile(src.str());
+    ASSERT_EQ(prog.kernels.size(), 1u);
+    EXPECT_GT(prog.kernels[0].vir_stats.phi_count, 0) << prog.kernels[0].name;
+  }
 }
 
 TEST(FuzzOracles, NamesRoundTripThroughParser) {

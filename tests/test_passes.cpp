@@ -12,6 +12,7 @@
 #include "opt/scalar_replacement.hpp"
 #include "tests_common.hpp"
 #include "vir/passes/passes.hpp"
+#include "vir/ssa.hpp"
 #include "workloads/workloads.hpp"
 
 namespace safara::test {
@@ -331,7 +332,8 @@ int count_ops(const vir::Kernel& k, Pred pred) {
 TEST(VirPasses, EveryPassIsIdempotent) {
   // Running any pass a second time on its own output must change nothing:
   // a pass that keeps finding work on its own output either loops or
-  // oscillates between two forms.
+  // oscillates between two forms. The passes require SSA form, so each raw
+  // kernel is converted first, exactly as run_pipeline does.
   using Runner = int (*)(vir::Kernel&);
   const std::pair<const char*, Runner> passes[] = {
       {"copy-propagation", vir::passes::run_copy_propagation},
@@ -342,6 +344,7 @@ TEST(VirPasses, EveryPassIsIdempotent) {
   };
   for (const workloads::Workload& w : workloads::all_workloads()) {
     for (vir::Kernel k : raw_kernels(w)) {
+      vir::ssa::construct(k);
       for (const auto& [name, run] : passes) {
         vir::Kernel copy = k;
         run(copy);

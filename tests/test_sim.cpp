@@ -429,8 +429,9 @@ void f(int n, const float *x, float *y) {
 }
 
 TEST(SimFunctional, PhiIsRejectedByBothDispatchEngines) {
-  // A phi between two fusable moves lands inside a superblock; the bulk
-  // executor must refuse it exactly as the per-instruction path does.
+  // A phi between two fusable moves would land inside a superblock; decode
+  // must refuse it before reading its operands (four here, one more than a
+  // decoded instruction holds), whichever engine runs.
   vir::Kernel k;
   k.name = "phi";
   k.vreg_types = {vir::VType::kI32, vir::VType::kI32, vir::VType::kI32};
@@ -439,11 +440,7 @@ TEST(SimFunctional, PhiIsRejectedByBothDispatchEngines) {
   m0.dst = 0;
   vir::Instr m1 = m0;
   m1.dst = 1;
-  vir::Instr phi;
-  phi.op = vir::Opcode::kPhi;
-  phi.dst = 2;
-  phi.a = 0;
-  phi.b = 1;
+  const vir::Instr phi = vir::make_phi(k, vir::VType::kI32, 2, {0, 1, 0, 1});
   vir::Instr exit;
   exit.op = vir::Opcode::kExit;
   k.code = {m0, m1, phi, exit};

@@ -1,13 +1,15 @@
 // Tests for the dominator CFG module and the SSA construction/destruction
 // pair the pass pipeline wraps around its optimizers: phi placement at
-// loop-header joins, pruning, copy folding into the rename, the bail-out
-// paths that leave a kernel untouched, the pipeline-level contract that no
-// kPhi ever escapes, and blocks emptied mid-pipeline keeping the CFG intact.
+// loop-header joins, pruning, copy folding into the rename, n-ary phis at
+// joins wider than three predecessors, the entry-block precondition, the
+// pipeline-level contract that no kPhi ever escapes, and blocks emptied
+// mid-pipeline keeping the CFG intact.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,6 +99,29 @@ int phi_count(const Kernel& k) {
   return n;
 }
 
+std::vector<std::uint32_t> operands_of(const Kernel& k, const Instr& in) {
+  std::vector<std::uint32_t> ops;
+  for_each_use(k, in, [&](std::uint32_t r) { ops.push_back(r); });
+  return ops;
+}
+
+/// Labels point at instructions (or one past the end) and every branch
+/// target resolves.
+void expect_valid_labels(const Kernel& k) {
+  const std::int32_t n = static_cast<std::int32_t>(k.code.size());
+  for (std::int32_t l : k.labels) {
+    EXPECT_GE(l, 0);
+    EXPECT_LE(l, n);
+  }
+  for (const Instr& in : k.code) {
+    if (in.op == Opcode::kBra || in.op == Opcode::kCbr) {
+      const std::int32_t t = k.target(static_cast<std::int32_t>(in.imm));
+      EXPECT_GE(t, 0);
+      EXPECT_LE(t, n);
+    }
+  }
+}
+
 // -- dominator CFG -------------------------------------------------------------
 
 TEST(DomCfg, LoopHeaderDominatesBodyAndExit) {
@@ -136,7 +161,6 @@ TEST(DomCfg, BlockLivenessSeesLoopCarriedValue) {
 TEST(SsaConstruct, PlacesPhiAtLoopHeader) {
   KB b = make_loop_kernel();
   ssa::ConstructStats stats = ssa::construct(b.k);
-  EXPECT_TRUE(stats.converted);
   EXPECT_GE(stats.phis, 1);
   EXPECT_EQ(phi_count(b.k), stats.phis);
   // The phi sits at the head of the loop-header block and carries two
@@ -146,9 +170,9 @@ TEST(SsaConstruct, PlacesPhiAtLoopHeader) {
   for (const Instr& in : b.k.code) {
     if (in.op != Opcode::kPhi) continue;
     found = true;
-    EXPECT_NE(in.a, kNoReg);
-    EXPECT_NE(in.b, kNoReg);
-    EXPECT_EQ(in.c, kNoReg);
+    const std::vector<std::uint32_t> ops = operands_of(b.k, in);
+    EXPECT_EQ(ops.size(), 2u);
+    for (std::uint32_t r : ops) EXPECT_NE(r, kNoReg);
     EXPECT_TRUE(in.loc.valid()) << "phi lost source provenance";
     const std::size_t blk = static_cast<std::size_t>(
         cfg.block_of[static_cast<std::size_t>(&in - b.k.code.data())]);
@@ -173,7 +197,6 @@ TEST(SsaConstruct, StraightLineRedefinitionNeedsNoPhi) {
   b.emit(Opcode::kExit, VType::kI32);
 
   ssa::ConstructStats stats = ssa::construct(b.k);
-  EXPECT_TRUE(stats.converted);
   EXPECT_EQ(stats.phis, 0);
   EXPECT_EQ(phi_count(b.k), 0);
   for (const auto& [v, n] : def_counts(b.k)) {
@@ -201,7 +224,6 @@ TEST(SsaConstruct, FoldsCopiesIntoRename) {
 
   const std::int32_t before = b.size();
   ssa::ConstructStats stats = ssa::construct(b.k);
-  EXPECT_TRUE(stats.converted);
   EXPECT_GE(stats.copies_folded, 1);
   EXPECT_EQ(b.size(), before - stats.copies_folded);
   // The add now reads t directly.
@@ -213,10 +235,10 @@ TEST(SsaConstruct, FoldsCopiesIntoRename) {
   }
 }
 
-TEST(SsaConstruct, EntryBlockWithPredecessorsBails) {
+TEST(SsaConstruct, EntryBlockWithPredecessorsThrows) {
   // The loop rolls back to instruction 0: a phi there would need an operand
-  // for the implicit function-entry edge, which does not exist. The kernel
-  // must be left byte-identical.
+  // for the implicit function-entry edge, which does not exist. Codegen never
+  // emits such a kernel, so it is a precondition violation, not a bailout.
   KB b;
   auto x = b.reg(VType::kI32);
   auto p = b.reg(VType::kPred);
@@ -235,19 +257,13 @@ TEST(SsaConstruct, EntryBlockWithPredecessorsBails) {
   b.place(exit);
   b.emit(Opcode::kExit, VType::kI32);
 
-  const Kernel snapshot = b.k;
-  ssa::ConstructStats stats = ssa::construct(b.k);
-  EXPECT_FALSE(stats.converted);
-  EXPECT_EQ(to_string(b.k), to_string(snapshot));
-
-  // The pipeline counts the bailout instead of failing silently.
-  Kernel k = snapshot;
-  EXPECT_EQ(passes::run_pipeline(k, 2).ssa_bailouts, 1);
+  EXPECT_THROW(ssa::construct(b.k), std::logic_error);
 }
 
-TEST(SsaConstruct, JoinWiderThanThreePredecessorsBails) {
-  // Four edges into one label: a VIR phi carries at most three operands, so
-  // construction must refuse and leave the kernel untouched.
+TEST(SsaConstruct, JoinWiderThanThreePredecessorsGetsOneNaryPhi) {
+  // Four edges into one label, each carrying its own def of x: the join gets
+  // one phi with four operands, one per predecessor in block order, and
+  // destruction lowers it to four edge copies.
   KB b;
   auto x = b.reg(VType::kI32);
   auto y = b.reg(VType::kI32);
@@ -266,47 +282,56 @@ TEST(SsaConstruct, JoinWiderThanThreePredecessorsBails) {
   b.emit(Opcode::kAdd, VType::kI32, y, x, x);
   b.emit(Opcode::kExit, VType::kI32);
 
-  const Kernel snapshot = b.k;
-  ssa::ConstructStats stats = ssa::construct(b.k);
-  EXPECT_FALSE(stats.converted);
-  EXPECT_EQ(to_string(b.k), to_string(snapshot));
+  const ssa::ConstructStats cs = ssa::construct(b.k);
+  EXPECT_EQ(cs.phis, 1);
+  ASSERT_EQ(phi_count(b.k), 1);
+  const Cfg cfg = build_dominator_cfg(b.k);
+  for (const Instr& in : b.k.code) {
+    if (in.op != Opcode::kPhi) continue;
+    // Operand p is the value of x at the end of predecessor p: the def of
+    // `x = p + 1` in that block.
+    const std::vector<std::uint32_t> ops = operands_of(b.k, in);
+    ASSERT_EQ(ops.size(), 4u);
+    const auto& preds = cfg.preds[static_cast<std::size_t>(
+        cfg.block_of[static_cast<std::size_t>(&in - b.k.code.data())])];
+    ASSERT_EQ(preds.size(), 4u);
+    for (std::size_t p = 0; p < 4; ++p) {
+      const BasicBlock& pb = cfg.blocks[static_cast<std::size_t>(preds[p])];
+      std::int64_t value = -1;
+      for (std::int32_t i = pb.begin; i < pb.end; ++i) {
+        const Instr& d = b.k.code[static_cast<std::size_t>(i)];
+        if (d.op == Opcode::kMovImmI && d.dst == ops[p]) value = d.imm;
+      }
+      EXPECT_EQ(value, static_cast<std::int64_t>(p) + 1) << "operand " << p;
+    }
+  }
 
-  // The pipeline counts the bailout instead of failing silently.
-  Kernel k = snapshot;
-  EXPECT_EQ(passes::run_pipeline(k, 2).ssa_bailouts, 1);
+  const ssa::DestructStats ds = ssa::destruct(b.k);
+  EXPECT_TRUE(ds.ok);
+  EXPECT_EQ(ds.copies_inserted, 4);
+  EXPECT_EQ(phi_count(b.k), 0);
+  EXPECT_TRUE(b.k.phi_operands.empty());
+  expect_valid_labels(b.k);
 }
 
 // -- SSA destruction -----------------------------------------------------------
 
 TEST(SsaDestruct, RoundTripLeavesNoPhisAndValidLabels) {
   KB b = make_loop_kernel();
-  ssa::ConstructStats cs = ssa::construct(b.k);
-  ASSERT_TRUE(cs.converted);
+  ssa::construct(b.k);
   ASSERT_GE(phi_count(b.k), 1);
 
   ssa::DestructStats ds = ssa::destruct(b.k);
   EXPECT_TRUE(ds.ok);
   EXPECT_EQ(phi_count(b.k), 0);
   EXPECT_GE(ds.copies_inserted, 1);
-  // Labels still point at instructions (or one past the end) and every
-  // branch target resolves.
-  for (std::int32_t l : b.k.labels) {
-    EXPECT_GE(l, 0);
-    EXPECT_LE(l, b.size());
-  }
-  for (const Instr& in : b.k.code) {
-    if (in.op == Opcode::kBra || in.op == Opcode::kCbr) {
-      const std::int32_t t = b.k.target(static_cast<std::int32_t>(in.imm));
-      EXPECT_GE(t, 0);
-      EXPECT_LE(t, b.size());
-    }
-  }
+  expect_valid_labels(b.k);
   // Destruction compacts vregs densely: every vreg below num_vregs is
   // actually referenced.
   std::vector<bool> seen(b.k.num_vregs(), false);
   for (const Instr& in : b.k.code) {
     if (has_dst(in.op) && in.dst != kNoReg) seen[in.dst] = true;
-    for_each_use(in, [&](std::uint32_t r) { seen[r] = true; });
+    for_each_use(b.k, in, [&](std::uint32_t r) { seen[r] = true; });
   }
   for (std::size_t v = 0; v < seen.size(); ++v) {
     EXPECT_TRUE(seen[v]) << "vreg " << v << " survived compaction unreferenced";
@@ -319,7 +344,6 @@ TEST(SsaPipeline, ReportsPhisButEmitsNone) {
   KB b = make_loop_kernel();
   passes::PassStats stats = passes::run_pipeline(b.k, 2);
   EXPECT_GE(stats.phi_count, 1) << "the loop kernel should have needed a phi";
-  EXPECT_EQ(stats.ssa_bailouts, 0);
   EXPECT_EQ(phi_count(b.k), 0) << "a phi escaped the pipeline";
 }
 
@@ -397,11 +421,95 @@ void f(int n, int m, int c0, float *x, int *y) {
   ASSERT_TRUE(defines_t0(k));
 
   const passes::PassStats stats = passes::run_pipeline(k, 2);
-  EXPECT_EQ(stats.ssa_bailouts, 0);
   EXPECT_EQ(stats.ssa_destruct_reverts, 0);
   EXPECT_GE(stats.dce_removed, 1);
   EXPECT_FALSE(defines_t0(k)) << "the dead loop body survived O2:\n" << to_string(k);
   EXPECT_EQ(phi_count(k), 0);
+}
+
+// -- passes on phis -------------------------------------------------------------
+
+/// An SSA kernel where `dup = 7` in the then-block repeats the dominating
+/// `lead = 7` and the join's phi reads dup: a GVN hit that redirects a phi
+/// operand. The entry block holds eight values live at once. With
+/// `raise_pressure`, `near = 9` after those values also repeats `far = 9`
+/// before them, a second hit that drags far's live range across the peak.
+struct GvnPhiKernel {
+  KB b;
+  std::uint32_t lead = 0, dup = 0;
+};
+GvnPhiKernel make_gvn_phi_kernel(bool raise_pressure) {
+  GvnPhiKernel g;
+  KB& b = g.b;
+  g.lead = b.reg(VType::kI32);
+  b.emit(Opcode::kMovImmI, VType::kI32, g.lead).imm = 7;
+  std::int64_t next_addr = 4096;
+  auto store = [&](std::uint32_t value) {
+    const auto addr = b.reg(VType::kI64);
+    b.emit(Opcode::kMovImmI, VType::kI64, addr).imm = next_addr;
+    next_addr += 4;
+    b.emit(Opcode::kStGlobal, VType::kI32, kNoReg, addr, value);
+  };
+  auto nine_and_use = [&] {
+    const auto nine = b.reg(VType::kI32);
+    b.emit(Opcode::kMovImmI, VType::kI32, nine).imm = 9;
+    store(nine);
+  };
+  if (raise_pressure) nine_and_use();  // far
+  std::vector<std::uint32_t> vals;
+  for (int v = 0; v < 8; ++v) {
+    vals.push_back(b.reg(VType::kI32));
+    b.emit(Opcode::kMovImmI, VType::kI32, vals.back()).imm = 100 + v;
+  }
+  std::uint32_t sum = vals[0];
+  for (std::size_t v = 1; v < vals.size(); ++v) {
+    const auto next = b.reg(VType::kI32);
+    b.emit(Opcode::kAdd, VType::kI32, next, sum, vals[v]);
+    sum = next;
+  }
+  if (raise_pressure) nine_and_use();  // near
+  const auto p = b.reg(VType::kPred);
+  const std::int32_t join = b.label();
+  b.emit(Opcode::kSetLt, VType::kI32, p, sum, vals[0]);
+  {
+    Instr& br = b.emit(Opcode::kCbr, VType::kI32, kNoReg, p);
+    br.imm = join;
+    br.imm2 = join;
+  }
+  g.dup = b.reg(VType::kI32);
+  b.emit(Opcode::kMovImmI, VType::kI32, g.dup).imm = 7;
+  b.place(join);
+  const auto x = b.reg(VType::kI32);
+  b.k.code.push_back(make_phi(b.k, VType::kI32, x, {sum, g.dup}));
+  store(x);
+  b.emit(Opcode::kExit, VType::kI32);
+  return g;
+}
+
+std::uint32_t phi_operand(const Kernel& k, std::size_t pos) {
+  for (const Instr& in : k.code) {
+    if (in.op == Opcode::kPhi) return operands_of(k, in).at(pos);
+  }
+  return kNoReg;
+}
+
+TEST(SsaGvn, KeptHitRedirectsPhiOperand) {
+  GvnPhiKernel g = make_gvn_phi_kernel(/*raise_pressure=*/false);
+  EXPECT_EQ(passes::run_gvn(g.b.k), 1);
+  EXPECT_EQ(phi_operand(g.b.k, 1), g.lead);
+}
+
+TEST(SsaGvn, PressureRevertRestoresPhiOperands) {
+  // The second hit raises peak pressure, so GVN reverts wholesale — and the
+  // revert must restore the phi operand the first hit redirected, along
+  // with the code and labels.
+  GvnPhiKernel g = make_gvn_phi_kernel(/*raise_pressure=*/true);
+  const std::string before = to_string(g.b.k);
+  const int pressure = passes::max_live_pressure(g.b.k);
+  EXPECT_EQ(passes::run_gvn(g.b.k), 0);
+  EXPECT_EQ(phi_operand(g.b.k, 1), g.dup);
+  EXPECT_EQ(to_string(g.b.k), before);
+  EXPECT_EQ(passes::max_live_pressure(g.b.k), pressure);
 }
 
 TEST(RemoveDead, EmptiedBlockBecomesBranchToItsFallThrough) {

@@ -284,7 +284,7 @@ TEST(Regalloc, SpillAccountingMatchesSpilledSet) {
     expected_bytes += 4 * registers_of(b.k.vreg_types[v]);
     for (const Instr& in : b.k.code) {
       if (has_dst(in.op) && in.dst == v) ++expected_stores;
-      for_each_use(in, [&](std::uint32_t u) {
+      for_each_use(b.k, in, [&](std::uint32_t u) {
         if (u == v) ++expected_loads;
       });
     }
@@ -471,7 +471,7 @@ TEST(Regalloc, ProfileWeightsSteerSpillChoice) {
   for (std::size_t pc = 0; pc < b.k.code.size(); ++pc) {
     const Instr& in = b.k.code[pc];
     bool touches = has_dst(in.op) && in.dst == cold_victim;
-    for_each_use(in, [&](std::uint32_t u) { touches = touches || u == cold_victim; });
+    for_each_use(b.k, in, [&](std::uint32_t u) { touches = touches || u == cold_victim; });
     if (touches) opts.pc_weights[pc] = 1000.0;
   }
   auto hot = regalloc::allocate(b.k, opts);
